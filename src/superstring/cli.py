@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -139,8 +138,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
                 print(f"error: {kind} violation at string {a}", file=err)
         return 2
 
-    threads = config.threads if config.threads is not None else (os.cpu_count() or 1)
-    solution = solve(instance, reconstruct=config.reconstruct, threads=threads)
+    solution = solve(instance, reconstruct=config.reconstruct)
 
     if config.verify and solution.witness is not None:
         problems = verify_solution(instance, solution)
@@ -217,7 +215,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--k", type=int, default=0, help="mismatch budget (default 0)")
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores)")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="accepted for compatibility and ignored: the solver runs serially",
+    )
     parser.add_argument("--reconstruct", action="store_true", help="emit a witness superstring")
     parser.add_argument("--verify", action="store_true", help="re-check the witness before emitting")
     parser.add_argument("--oracle-check", action="store_true", help="cross-check against the brute-force reference")

@@ -20,16 +20,28 @@ class Counters:
     dp_left: int = 0
     composition: int = 0
     window_scan: int = 0
+    glue_scan: int = 0
 
-    NAMES = ("pair_build", "core_scan", "dp_right", "dp_left", "composition", "window_scan")
+    NAMES = (
+        "pair_build",
+        "core_scan",
+        "dp_right",
+        "dp_left",
+        "composition",
+        "window_scan",
+        "glue_scan",
+    )
 
     @staticmethod
     def bounds(n: int, c: int) -> dict[str, int]:
-        # window_scan covers the interior-absorption terms, whose inner
-        # placement search has no tight polynomial shape; its bound is the
-        # product of its loop ranges (anchor/interior-set choices, window
-        # cells, placement tree) and is deliberately loose: cutoff and budget
-        # pruning keep real runs far below it
+        # window_scan counts the absorbed-shape work: anchor windows a scan
+        # visits plus interior placements the search tries (memoised
+        # feasibility answers try none).  The search has no tight polynomial
+        # shape, so its bound is the product of its loop ranges
+        # (anchor/interior-set choices, window cells, placement tree) and is
+        # deliberately loose.  glue_scan counts the left/right chain splits
+        # tried for the absorbed triple shape: one per submask of the strings
+        # outside (l, m, r, interiors), at most 3^(n-3) per (m, l, r)
         return {
             "pair_build": n * n * (2 * c) ** 2,
             "core_scan": n ** 3 * (3 * c) ** 2,
@@ -37,11 +49,8 @@ class Counters:
             "dp_left": n * n * 2 ** n,
             "composition": n ** 3 * 2 ** n,
             "window_scan": n ** 4 * 3 ** n * (3 * c) ** 2 * c ** n,
+            "glue_scan": n ** 3 * 3 ** n,
         }
-
-    def merge(self, other: "Counters") -> None:
-        for name in self.NAMES:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def report(self, n: int, c: int) -> dict[str, dict[str, int]]:
         bounds = self.bounds(n, c)

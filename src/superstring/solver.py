@@ -23,21 +23,32 @@ compositions miss exactly those arrangements.
 The all-exact chain (the classical shortest superstring of the whole set) is
 always feasible and seeds the minimisation.
 
+Absorbed shapes are searched by one placement engine per mistake string m
+(``_Placer``).  Every string short enough to fit strictly inside m is
+packed once, at each inner offset, into integers: character codes, a span
+mask and a mask of its disagreements with m.  Anchor windows for a pair
+(l?, r?) are built lazily in ascending (length, start) order and kept only
+while the scans stay on that pair; each window carries the cover its
+anchors fix and, per string, the placements that agree with it within
+budget.  Whether an interior set fits under a cover is a bitwise depth-first
+search, memoised per m, so the composition loops, which enumerate only
+interior sets drawn from the strings that fit, pay for each distinct
+question once.  Reconstruction asks the same engine for the winning
+offsets.
+
 Candidates are compared as tuples
 ``(length, kind, m, l, r, interior_mask, partition_mask)`` in lexicographic
 order; window scans are pruned once they can no longer strictly improve on
 the incumbent, so among equal-length optima the earliest shape in that
 order wins.  Both rules are fixed, so the reported answer, witness and
-offsets do not depend on evaluation order or on the number of worker
-threads.
+offsets do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .cores import CoreTable, build_core_table, placement_mismatches
+from .cores import CoreTable, build_core_table
 from .counters import Counters
 from .instance import Instance, InvalidInstanceError, validate
 from .mismatches import MismatchTable, build_mismatch_table
@@ -99,113 +110,202 @@ def _bits(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask & (1 << i)]
 
 
-def _base_window_mismatches(table, m, l, r, len_l, len_m, len_r, length, start) -> int:
-    """Mismatches of m against the anchors for one window placement."""
-    if l >= 0 and r >= 0:
-        return placement_mismatches(table, l, m, r, len_l, len_m, len_r, length, start)
-    if l >= 0:
-        return table.count(l, m, start + len_m - 1)
-    if r >= 0:
-        end_in_r = start + len_m - 1 - (length - len_r)
-        return table.count(r, m, end_in_r) if end_in_r >= 0 else 0
-    return 0
+def _pack(s: str, at: int, code: dict[str, int], width: int) -> int:
+    """Character codes of s, one `width`-bit field per position, from field `at` on."""
+    value = 0
+    for t, ch in enumerate(s):
+        value |= code[ch] << ((at + t) * width)
+    return value
 
 
-def _place_interiors(m_str, cover, interiors, strings, budget, counters):
-    """Offsets (in mistake-string coordinates) embedding `interiors` strictly inside.
+def _search(options, order, i, value, covered, cost, k, counters):
+    """First placement of interiors order[i:] as [(e, offset), ...], or None.
 
-    `cover` holds the consensus character for every already-covered position
-    of the mistake string's span (None = uncovered).  A placement must agree
-    with covered positions; disagreements on fresh positions spend budget.
-    Returns the first assignment found, scanning strings in the given order
-    and offsets ascending, or None.
+    Depth first over strings in `order`, offsets ascending.  A placement
+    must agree with every covered position, and the positions where the
+    covered characters differ from the mistake string may not exceed k.
     """
-    if not interiors:
-        return {}
-    e = interiors[0]
-    s = strings[e]
-    for offset in range(1, len(m_str) - len(s)):
+    e = order[i]
+    last = i + 1 == len(order)
+    for offset, v, span, diff in options[e]:
         counters.window_scan += 1
-        fresh = []
-        cost = 0
-        ok = True
-        for t, ch in enumerate(s):
-            seen = cover[offset + t]
-            if seen is not None:
-                if seen != ch:
-                    ok = False
-                    break
-            else:
-                fresh.append(offset + t)
-                if ch != m_str[offset + t]:
-                    cost += 1
-                    if cost > budget:
-                        ok = False
-                        break
-        if not ok:
+        if (v ^ value) & span & covered:
             continue
-        for p in fresh:
-            cover[p] = s[p - offset]
-        rest = _place_interiors(m_str, cover, interiors[1:], strings, budget - cost, counters)
+        spent = cost | diff
+        if spent.bit_count() > k:
+            continue
+        if last:
+            return [(e, offset)]
+        rest = _search(options, order, i + 1, value | v, covered | span, spent, k, counters)
         if rest is not None:
-            rest[e] = offset
+            rest.append((e, offset))
             return rest
-        for p in fresh:
-            cover[p] = None
     return None
 
 
-def _scan_window(instance, table, m, l, r, interiors, max_length, counters):
-    """Minimal window placing m with the given anchors and absorbed strings.
+class _Placer:
+    """Absorbed-string placements inside one mistake string m.
 
-    Returns (length, m_start, {interior: offset}) for the first feasible
-    placement under ascending (length, start) order, or None when nothing
-    beats `max_length` (exclusive).
+    Positions are m's own, 0..|m|-1, each a `width`-bit field of an integer
+    holding character codes.  A cover is a pair (value, covered): the codes
+    of the characters already fixed and a mask of their fields.  Its cost is
+    a mask with the low bit of every field where the cover disagrees with m,
+    so cost.bit_count() is the budget already spent.
+
+    Every string e in `fits` is packed once, at each offset strictly inside
+    m, as (offset, value, span, diff): its codes, its field mask and the low
+    bits of the positions where it differs from m.
+
+    Anchor windows come in the order the candidates are compared in:
+    ascending (length, start), keeping those whose anchors cost at most k.
+    They are built one length at a time, only as far as a cutoff asks, and
+    kept only while the scans stay on one anchor pair (l, r), -1 meaning
+    absent.  Each window holds the cover its anchors fix and, per string,
+    the placements that agree with that cover within budget.  Whether an
+    interior set fits depends only on the cover, so that answer is memoised
+    per m, across anchor pairs.
     """
-    strings = instance.strings
-    k = instance.k
-    len_m = len(strings[m])
-    if any(len(strings[e]) > len_m - 2 for e in interiors):
-        return None
-    len_l = len(strings[l]) if l >= 0 else 0
-    len_r = len(strings[r]) if r >= 0 else 0
 
-    if l >= 0 and r >= 0:
-        lengths = range(max(len_l, len_r), len_l + len_m + len_r + 1)
-    elif l >= 0:
-        lengths = range(max(len_l, len_m), len_l + len_m + 1)
-    elif r >= 0:
-        lengths = range(max(len_m, len_r), len_m + len_r + 1)
-    else:
-        lengths = range(len_m, len_m + 1)
+    def __init__(self, instance, table, m, fits, counters):
+        strings = instance.strings
+        symbols = sorted(set().union(*strings))
+        self.code = {ch: i + 1 for i, ch in enumerate(symbols)}
+        self.width = width = len(symbols).bit_length()
+        self.strings = strings
+        self.table = table
+        self.k = instance.k
+        self.counters = counters
+        m_str = strings[m]
+        self.len_m = len_m = len(m_str)
+        self.m_value = _pack(m_str, 0, self.code, width)
+        self.full = (1 << (len_m * width)) - 1
+        self.low = sum(1 << (p * width) for p in range(len_m))
+        self.options: list[tuple] = [()] * instance.n
+        for e in _bits(fits, instance.n):
+            s = strings[e]
+            span = (1 << (len(s) * width)) - 1
+            self.options[e] = tuple(
+                (
+                    offset,
+                    _pack(s, offset, self.code, width),
+                    span << (offset * width),
+                    sum(1 << ((offset + t) * width) for t, ch in enumerate(s) if ch != m_str[offset + t]),
+                )
+                for offset in range(1, len_m - len(s))
+            )
+        self.feasible: dict[tuple[int, int], dict[int, bool]] = {}
+        self.anchors = None
 
-    for length in lengths:
-        if length >= max_length:
+    def _use_anchors(self, l, r):
+        self.anchors = (l, r)
+        strings, code, width = self.strings, self.code, self.width
+        len_m = self.len_m
+        self.len_l = len_l = len(strings[l]) if l >= 0 else 0
+        self.len_r = len_r = len(strings[r]) if r >= 0 else 0
+        self.l_value = _pack(strings[l], 0, code, width) if l >= 0 else 0
+        self.r_value = _pack(strings[r], 0, code, width) if r >= 0 else 0
+        if l >= 0 and r >= 0:
+            self.lengths = range(max(len_l, len_r), len_l + len_m + len_r + 1)
+        elif l >= 0:
+            self.lengths = range(max(len_l, len_m), len_l + len_m + 1)
+        elif r >= 0:
+            self.lengths = range(max(len_m, len_r), len_m + len_r + 1)
+        else:
+            self.lengths = range(len_m, len_m + 1)
+        self.groups: list[list[tuple]] = []
+        self.covers: dict[tuple[int, int], tuple | None] = {}
+
+    def _group(self, length):
+        """(start, cover) of every window of one length whose anchors fit the budget."""
+        l, r = self.anchors
+        len_l, len_r = self.len_l, self.len_r
+        width, full, k = self.width, self.full, self.k
+        if l >= 0 and r >= 0 and length < len_l + len_r and self.table.count(l, r, length - 1) != 0:
+            return []
+        l_span = (1 << (len_l * width)) - 1
+        r_span = (1 << (len_r * width)) - 1
+        windows = []
+        for start in range(length - self.len_m + 1):
+            value = (self.l_value >> (start * width)) & full
+            covered = (l_span >> (start * width)) & full
+            shift = (length - len_r - start) * width  # r's first field, in m positions
+            if shift >= 0:
+                value |= (self.r_value << shift) & full
+                covered |= (r_span << shift) & full
+            else:
+                value |= (self.r_value >> -shift) & full
+                covered |= (r_span >> -shift) & full
+            key = (value, covered)
+            if key not in self.covers:
+                self.covers[key] = self._cover(value, covered)
+            if self.covers[key] is not None:
+                windows.append((start, self.covers[key]))
+        return windows
+
+    def _cover(self, value, covered):
+        """(value, covered, cost, options, fitting mask, memo) of a cover, or None over budget."""
+        k = self.k
+        differ = (value ^ self.m_value) & covered
+        folded = differ
+        for bit in range(1, self.width):
+            folded |= differ >> bit
+        cost = folded & self.low
+        if cost.bit_count() > k:
             return None
-        if l >= 0 and r >= 0 and length < len_l + len_r and table.count(l, r, length - 1) != 0:
-            continue
-        for start in range(length - len_m + 1):
-            counters.window_scan += 1
-            base = _base_window_mismatches(
-                table, m, l, r, len_l, len_m, len_r, length, start
-            )
-            if base > k:
-                continue
-            if not interiors:
-                return length, start, {}
-            cover: list[str | None] = [None] * len_m
-            for t in range(len_m):
-                at = start + t
-                if l >= 0 and at < len_l:
-                    cover[t] = strings[l][at]
-                elif r >= 0 and at >= length - len_r:
-                    cover[t] = strings[r][at - (length - len_r)]
-            placed = _place_interiors(
-                strings[m], cover, interiors, strings, k - base, counters
-            )
-            if placed is not None:
-                return length, start, placed
-    return None
+        options = [()] * len(self.options)
+        fitting = 0
+        for e, placements in enumerate(self.options):
+            if placements:
+                options[e] = tuple(
+                    p
+                    for p in placements
+                    if not (p[1] ^ value) & p[2] & covered and (cost | p[3]).bit_count() <= k
+                )
+                if options[e]:
+                    fitting |= 1 << e
+        memo = self.feasible.setdefault((value, covered), {})
+        return value, covered, cost, options, fitting, memo
+
+    def first_window(self, l, r, interior_mask, cutoff):
+        """(length, start, cover) of the first window below cutoff holding interior_mask, or None.
+
+        The window holds m, the anchors l and r, and every string of
+        interior_mask strictly inside m.
+        """
+        if self.anchors != (l, r):
+            self._use_anchors(l, r)
+        counters = self.counters
+        groups = self.groups
+        order = None
+        for i, length in enumerate(self.lengths):
+            if length >= cutoff:
+                return None
+            if i == len(groups):
+                groups.append(self._group(length))
+            for start, cover in groups[i]:
+                counters.window_scan += 1
+                value, covered, cost, options, fitting, memo = cover
+                if interior_mask & ~fitting:
+                    continue
+                hit = memo.get(interior_mask)
+                if hit is None:
+                    if order is None:
+                        order = _bits(interior_mask, len(options))
+                    found = _search(options, order, 0, value, covered, cost, self.k, counters)
+                    hit = memo[interior_mask] = found is not None
+                if hit:
+                    return length, start, cover
+        return None
+
+    def place(self, l, r, interior_mask, cutoff):
+        """(length, m_start, {interior: offset in m}) of the first window, or None."""
+        found = self.first_window(l, r, interior_mask, cutoff)
+        if found is None:
+            return None
+        length, start, (value, covered, cost, options, _, _) = found
+        order = _bits(interior_mask, len(options))
+        placed = _search(options, order, 0, value, covered, cost, self.k, self.counters)
+        return length, start, dict(placed)
 
 
 def _min_glue(dp_right, dp_left, outside, l, r, counters):
@@ -213,7 +313,7 @@ def _min_glue(dp_right, dp_left, outside, l, r, counters):
     best = None
     best_sub = 0
     for sub in _submasks(outside):
-        counters.window_scan += 1
+        counters.glue_scan += 1
         value = dp_right[sub | (1 << l)][l] + dp_left[(outside ^ sub) | (1 << r)][r]
         if best is None or value < best or (value == best and sub < best_sub):
             best = value
@@ -279,21 +379,25 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
                     if cand < best:
                         best = cand
 
-    # absorbed variants: only worth scanning when at least one other string
-    # is short enough to vanish inside m, i.e. strictly shorter than |m| - 1
-    if not any(lengths[e] <= lengths[m] - 2 for e in range(n) if e != m):
+    # absorbed variants: only strings strictly shorter than |m| - 1 can
+    # vanish inside m, so interior sets are drawn from those alone
+    fits = 0
+    for e in range(n):
+        if e != m and lengths[e] <= lengths[m] - 2:
+            fits |= 1 << e
+    if not fits:
         return best
+    placer = _Placer(instance, tables.mismatch, m, fits, counters)
 
     for l in range(n):
         if l == m:
             continue
         chain = rest_mask ^ (1 << l)
-        for interior_mask in _submasks(chain):
+        for interior_mask in _submasks(chain & fits):
             if interior_mask == 0:
                 continue
-            interiors = _bits(interior_mask, n)
             cutoff = best[0] - dp_right[rest_mask ^ interior_mask][l] + lengths[l]
-            found = _scan_window(instance, tables.mismatch, m, l, -1, interiors, cutoff, counters)
+            found = placer.first_window(l, -1, interior_mask, cutoff)
             if found is not None:
                 length = dp_right[rest_mask ^ interior_mask][l] + found[0] - lengths[l]
                 cand = (length, _EDGE_LEFT_ABS, m, l, -1, interior_mask, 0)
@@ -304,12 +408,11 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
         if r == m:
             continue
         chain = rest_mask ^ (1 << r)
-        for interior_mask in _submasks(chain):
+        for interior_mask in _submasks(chain & fits):
             if interior_mask == 0:
                 continue
-            interiors = _bits(interior_mask, n)
             cutoff = best[0] - dp_left[rest_mask ^ interior_mask][r] + lengths[r]
-            found = _scan_window(instance, tables.mismatch, m, -1, r, interiors, cutoff, counters)
+            found = placer.first_window(-1, r, interior_mask, cutoff)
             if found is not None:
                 length = found[0] - lengths[r] + dp_left[rest_mask ^ interior_mask][r]
                 cand = (length, _EDGE_RIGHT_ABS, m, -1, r, interior_mask, 0)
@@ -324,29 +427,25 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
                 if r == m or r == l:
                     continue
                 around = rest_mask ^ (1 << l) ^ (1 << r)
-                for interior_mask in _submasks(around):
+                for interior_mask in _submasks(around & fits):
                     if interior_mask == 0:
                         continue
-                    interiors = _bits(interior_mask, n)
                     outside = around ^ interior_mask
                     glue, glue_sub = _min_glue(dp_right, dp_left, outside, l, r, counters)
                     cutoff = best[0] - glue + lengths[l] + lengths[r]
-                    found = _scan_window(
-                        instance, tables.mismatch, m, l, r, interiors, cutoff, counters
-                    )
+                    found = placer.first_window(l, r, interior_mask, cutoff)
                     if found is not None:
                         length = glue + found[0] - lengths[l] - lengths[r]
                         cand = (length, _TRIPLE_ABS, m, l, r, interior_mask, glue_sub)
                         if cand < best:
                             best = cand
 
-    found = _scan_window(
-        instance, tables.mismatch, m, -1, -1, _bits(rest_mask, n), best[0], counters
-    )
-    if found is not None:
-        cand = (found[0], _ENCLOSED, m, -1, -1, rest_mask, 0)
-        if cand < best:
-            best = cand
+    if fits == rest_mask:
+        found = placer.first_window(-1, -1, rest_mask, best[0])
+        if found is not None:
+            cand = (found[0], _ENCLOSED, m, -1, -1, rest_mask, 0)
+            if cand < best:
+                best = cand
 
     return best
 
@@ -354,7 +453,7 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
 def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     mismatch = build_mismatch_table(instance, counters)
     cores = build_core_table(instance, mismatch, counters)
-    overlap = build_overlap_table(instance, mismatch)
+    overlap = build_overlap_table(instance)
     subsets = build_subset_table(instance, overlap, counters)
     return _Tables(mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets)
 
@@ -367,8 +466,8 @@ def solve(
 ) -> Solution:
     """Minimal containing-string length for the instance, optionally with witness.
 
-    ``threads`` parallelises the per-mistake-string scans; results are
-    identical for any thread count.
+    ``threads`` is accepted for compatibility and ignored: the scans run
+    serially, because a thread pool over them gave no speedup under the GIL.
     """
     report = validate(instance)
     if not report.ok:
@@ -396,21 +495,10 @@ def solve(
     baseline_value = dp_right[full][baseline_j]
     best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
 
-    if threads <= 1:
-        for m in range(n):
-            cand = _candidates_for_m(instance, tables, m, baseline_value, counters)
-            if cand < best:
-                best = cand
-    else:
-        def worker(m: int):
-            local = Counters()
-            return _candidates_for_m(instance, tables, m, baseline_value, local), local
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for cand, local in pool.map(worker, range(n)):
-                counters.merge(local)
-                if cand < best:
-                    best = cand
+    for m in range(n):
+        cand = _candidates_for_m(instance, tables, m, baseline_value, counters)
+        if cand < best:
+            best = cand
 
     kind = best[1]
     mistake_index = 0 if kind == _BASELINE else best[2]
@@ -487,12 +575,10 @@ def _assemble(instance, tables, best, baseline_j) -> tuple[str, list[int]]:
     lengths = [len(s) for s in strings]
     full = (1 << n) - 1
     rest_mask = full ^ (1 << m) if kind != _BASELINE else 0
-    interiors = _bits(interior_mask, n) if interior_mask > 0 else []
 
     def rescan(anchor_l, anchor_r):
-        found = _scan_window(
-            instance, tables.mismatch, m, anchor_l, anchor_r, interiors, length + 1, Counters()
-        )
+        placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters())
+        found = placer.place(anchor_l, anchor_r, interior_mask, length + 1)
         assert found is not None, "winning window vanished on reconstruction"
         return found
 

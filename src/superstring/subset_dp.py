@@ -64,6 +64,8 @@ def build_overlap_table(
     Overlaps are defined by direct suffix/prefix equality.  When a mismatch
     table is supplied, the alignment-list route is evaluated as well and any
     disagreement raises, as the two are different readings of one quantity.
+    The solver builds the table without one; the check is a test of the
+    mismatch tables, not a step every solve has to pay for.
     """
     strings = instance.strings
     n = instance.n

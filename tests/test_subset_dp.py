@@ -44,6 +44,13 @@ def test_overlap_strict_bound_on_valid_instances(strings):
                 assert strings[w][-longer:] != strings[v][:longer]
 
 
+def test_overlap_routes_agree_on_seeded_instances():
+    # the mismatch-list route raises on any disagreement with direct equality
+    for inst in seeded_instances(4300, 40, n_choices=(2, 3, 4, 5, 6), max_len=10):
+        checked = build_overlap_table(inst, build_mismatch_table(inst))
+        assert checked.values == build_overlap_table(inst).values
+
+
 def test_dp_examples():
     inst = make_instance(["ab", "bc"], 0)
     overlap = build_overlap_table(inst)
