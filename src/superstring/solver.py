@@ -180,11 +180,11 @@ class _Placer:
         self.m_value = _pack(m_str, 0, self.code, width)
         self.full = (1 << (len_m * width)) - 1
         self.low = sum(1 << (p * width) for p in range(len_m))
-        self.options: list[tuple] = [()] * instance.n
+        self.placements: list[tuple] = [()] * instance.n
         for e in _bits(fits, instance.n):
             s = strings[e]
             span = (1 << (len(s) * width)) - 1
-            self.options[e] = tuple(
+            self.placements[e] = tuple(
                 (
                     offset,
                     _pack(s, offset, self.code, width),
@@ -252,15 +252,17 @@ class _Placer:
         cost = folded & self.low
         if cost.bit_count() > k:
             return None
-        options = [()] * len(self.options)
+        # lists, not tuples: many short-lived tuples of assorted sizes would
+        # stay parked in the interpreter's tuple free lists and raise peak RSS
+        options = [()] * len(self.placements)
         fitting = 0
-        for e, placements in enumerate(self.options):
+        for e, placements in enumerate(self.placements):
             if placements:
-                options[e] = tuple(
+                options[e] = [
                     p
                     for p in placements
                     if not (p[1] ^ value) & p[2] & covered and (cost | p[3]).bit_count() <= k
-                )
+                ]
                 if options[e]:
                     fitting |= 1 << e
         memo = self.feasible.setdefault((value, covered), {})
