@@ -27,10 +27,25 @@ def window_min_length(left: str | None, mid: str, right: str | None, k: int) -> 
     `left` sits at the window's left edge, `right` at its right edge, `mid`
     anywhere inside with at most k conflicts against the union of the two.
     """
+    return window_placement(left, mid, right, k)[0]
+
+
+def window_placement(
+    left: str | None, mid: str, right: str | None, k: int
+) -> tuple[int, int, int]:
+    """First feasible (length, start) of the minimal-window oracle, and its cost.
+
+    Lengths ascend, then starts; the first cell within budget wins, which is
+    the merge-core builders' tie-break.  The third field counts the cells
+    visited on the way: every start of each length whose anchor overlay is
+    clean, up to and including the winner (lengths with a conflicting overlay
+    cost nothing).
+    """
     len_l = len(left) if left else 0
     len_r = len(right) if right else 0
     low = max(len_l, len_r, 1)
     high = len_l + len(mid) + len_r
+    cells = 0
     for length in range(low, high + 1):
         chars: list[str | None] = [None] * length
         conflict = False
@@ -47,13 +62,14 @@ def window_min_length(left: str | None, mid: str, right: str | None, k: int) -> 
         if conflict:
             continue
         for start in range(length - len(mid) + 1):
+            cells += 1
             misses = sum(
                 1
                 for t, ch in enumerate(mid)
                 if chars[start + t] is not None and chars[start + t] != ch
             )
             if misses <= k:
-                return length
+                return length, start, cells
     raise AssertionError("unreachable: full concatenation is always feasible")
 
 

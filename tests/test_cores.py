@@ -1,8 +1,12 @@
 import itertools
+import random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from superstring import make_instance, build_mismatch_table
+from superstring import Counters, make_instance, build_mismatch_table
+from superstring.cli import GeneratorParams, generate_instance
 from superstring.cores import (
     build_pair_cores,
     build_triple_cores,
@@ -10,7 +14,7 @@ from superstring.cores import (
     overlay_is_clean,
     placement_mismatches,
 )
-from conftest import window_min_length
+from conftest import random_valid_instance, window_min_length, window_placement
 
 
 def triple_table(strings, k):
@@ -174,3 +178,51 @@ def test_placement_mismatches_counts_union(strings, k):
                 table, l, m, r, len_l, len_m, len_r, length, start
             )
             assert got == direct
+
+
+def equal_length_instance(seed):
+    # the shape of the benchmark's table-bound workload, scaled down
+    rng = random.Random(seed)
+    size = rng.randint(8, 16)
+    params = GeneratorParams(count=rng.randint(3, 5), min_len=size, max_len=size, alphabet=4)
+    return generate_instance(params, rng.randrange(2**31), rng.randint(0, 4))
+
+
+def binary_mixed_instance(seed):
+    # short binary strings of mixed lengths: clean overlapping anchors are common
+    return random_valid_instance(seed, n_choices=(3, 4, 5), max_len=8, alphabets=(2,))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [equal_length_instance(6100 + i) for i in range(12)]
+    + [binary_mixed_instance(6200 + i) for i in range(40)],
+)
+def test_core_placements_and_scan_match_cell_oracle(inst):
+    # every core's (length, m_start) is the oracle's first feasible cell, and
+    # core_scan is exactly the number of cells the oracle visits to find them
+    strings, k = inst.strings, inst.k
+    table = build_mismatch_table(inst)
+    triple_counters, pair_counters = Counters(), Counters()
+    triple = build_triple_cores(inst, table, triple_counters) if inst.n >= 3 else {}
+    pair_left, pair_right = build_pair_cores(inst, table, pair_counters)
+
+    cells = 0
+    for (l, m, r), placement in triple.items():
+        length, start, visited = window_placement(strings[l], strings[m], strings[r], k)
+        assert placement == (length, start), (l, m, r)
+        cells += visited
+    assert len(triple) == inst.n * (inst.n - 1) * (inst.n - 2)
+    assert triple_counters.core_scan == cells
+
+    cells = 0
+    for (l, m), placement in pair_left.items():
+        length, start, visited = window_placement(strings[l], strings[m], None, k)
+        assert placement == (length, start), (l, m)
+        cells += visited
+    for (m, r), placement in pair_right.items():
+        length, start, visited = window_placement(None, strings[m], strings[r], k)
+        assert placement == (length, start), (m, r)
+        cells += visited
+    assert len(pair_left) == len(pair_right) == inst.n * (inst.n - 1)
+    assert pair_counters.core_scan == cells
