@@ -1,10 +1,13 @@
-"""Golden outputs for absorption-heavy instances.
+"""Golden outputs for absorption-heavy and anchored instances.
 
-Each instance has one string of length 10-16 and 4-7 strings of length 3-5
-over "abc", k in 1..4, so absorbed shapes decide most answers.  The stored
-tuple ``(length, mistake_index, witness, offsets, mismatch_positions)`` pins
-not only the optimum but the witness and every tie-break, so a rewrite of
-the composition step must reproduce them byte for byte.
+Each absorption-heavy instance has one string of length 10-16 and 4-7
+strings of length 3-5 over "abc", k in 1..4, so absorbed shapes decide most
+answers.  Each anchored instance has 5-6 strings of one length in 12..20
+over "abcd", k in 1..4: nothing can be absorbed, so the merge cores (and
+their ``m_start`` placements) set the winning witnesses.  The stored tuple
+``(length, mistake_index, witness, offsets, mismatch_positions)`` pins not
+only the optimum but the witness and every tie-break, so a rewrite of the
+composition step or of the core builders must reproduce them byte for byte.
 
 Regenerate the data (only when an output change is intended) with::
 
@@ -24,6 +27,9 @@ DATA_PATH = Path(__file__).resolve().parent / "data" / "golden_absorb.json"
 GOLDEN_SEED = 1733000
 GOLDEN_COUNT = 60
 DRAW_LIMIT = 2000
+ANCHORED_PATH = DATA_PATH.with_name("golden_anchored.json")
+ANCHORED_SEED = 1734000
+ANCHORED_COUNT = 30
 
 
 def golden_instance(seed: int):
@@ -41,8 +47,22 @@ def golden_instance(seed: int):
     return make_instance(strings, k)
 
 
-def golden_row(seed: int) -> dict:
-    inst = golden_instance(seed)
+def anchored_instance(seed: int):
+    """5-6 distinct strings of one length, drawn from `seed`."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    count = rng.randint(5, 6)
+    size = rng.randint(12, 20)
+    strings: list[str] = []
+    while len(strings) < count:
+        candidate = "".join(rng.choice("abcd") for _ in range(size))
+        if candidate not in strings:
+            strings.append(candidate)
+    return make_instance(strings, k)
+
+
+def golden_row(seed: int, draw=golden_instance) -> dict:
+    inst = draw(seed)
     solution = solve(inst, reconstruct=True)
     assert not verify_solution(inst, solution)
     return {
@@ -57,16 +77,31 @@ def golden_row(seed: int) -> dict:
     }
 
 
-def test_golden_outputs_are_unchanged():
-    rows = json.loads(DATA_PATH.read_text())
-    assert len(rows) == GOLDEN_COUNT
+GOLDEN_SETS = (
+    (DATA_PATH, GOLDEN_SEED, GOLDEN_COUNT, golden_instance),
+    (ANCHORED_PATH, ANCHORED_SEED, ANCHORED_COUNT, anchored_instance),
+)
+
+
+def check_rows(path: Path, count: int, draw) -> None:
+    rows = json.loads(path.read_text())
+    assert len(rows) == count
     for row in rows:
-        got = golden_row(row["seed"])
+        got = golden_row(row["seed"], draw)
         assert got == row, f"seed {row['seed']}: {got} != {row}"
+
+
+def test_golden_outputs_are_unchanged():
+    check_rows(DATA_PATH, GOLDEN_COUNT, golden_instance)
+
+
+def test_anchored_golden_outputs_are_unchanged():
+    check_rows(ANCHORED_PATH, ANCHORED_COUNT, anchored_instance)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     DATA_PATH.parent.mkdir(exist_ok=True)
-    rows = [golden_row(GOLDEN_SEED + i) for i in range(GOLDEN_COUNT)]
-    DATA_PATH.write_text(json.dumps(rows, indent=1) + "\n")
-    print(f"wrote {len(rows)} rows to {DATA_PATH}")
+    for path, seed, count, draw in GOLDEN_SETS:
+        rows = [golden_row(seed + i, draw) for i in range(count)]
+        path.write_text(json.dumps(rows, indent=1) + "\n")
+        print(f"wrote {len(rows)} rows to {path}")
