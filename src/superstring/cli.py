@@ -5,8 +5,10 @@ random generator; optionally reconstruct and verify a witness, cross-check
 the answer against the brute-force reference, emit JSON, and report the
 per-phase iteration counters against their closed-form bounds.
 
-Exit codes: 0 success, 2 invalid input (substring violation, empty input,
-bad parameters), 3 oracle limits exceeded, 4 solver/oracle disagreement.
+Exit codes: 0 success, 1 internal check failed (`--verify` rejected the
+witness, or a `--counters` counter exceeded its bound), 2 invalid input
+(substring violation, empty input, bad parameters), 3 oracle limits
+exceeded, 4 solver/oracle disagreement.
 """
 
 from __future__ import annotations

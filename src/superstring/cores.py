@@ -17,13 +17,24 @@ Counting m's disagreements splits into four region cases:
      positions inside the l/r overlap, which were counted twice (r agrees
      with l there, so each such window position holds one character)
 
+The builders split the window lengths into two regimes:
+
+  * Disjoint anchors (length >= |l|+|r|, cases 1-3).  The two sides add up,
+    so a cell is two list reads: per-start counts of m against the left
+    anchor and against the right anchor (`_edge_counts`), built once per
+    string pair from `MismatchTable.counts`.
+  * Overlapping anchors (length < |l|+|r|), only at lengths whose overlay is
+    clean.  A cell goes through `placement_mismatches`, whose case 4 needs
+    the duplicate correction from `MismatchTable.count_up_to`.
+
 The *pair cores* are the degenerate variants used when the mistake string is
 the overall first or last string: only one anchor, at the left (pair_left)
-or right (pair_right) edge.
+or right (pair_right) edge, so every cell is in the first regime.
 
 Per entry the builder keeps the first feasible (length, start) found while
 scanning lengths, then starts, in ascending order; that placement is the
-reconstruction witness and makes outputs reproducible.
+reconstruction witness and makes outputs reproducible.  The `core_scan`
+counter counts those cells up to and including the winner.
 """
 
 from __future__ import annotations
@@ -114,6 +125,74 @@ def placement_mismatches(
     return mistakes - table.count_up_to(r, m, end_in_r, overlap - 1)
 
 
+def _edge_counts(
+    table: MismatchTable, lengths: list[int]
+) -> tuple[dict[tuple[int, int], list[int]], dict[tuple[int, int], list[int]]]:
+    """Per-start mismatch counts of every string against every anchor.
+
+    left[a, m][s] counts m starting at s against anchor a at the window's
+    left edge; right[a, m][d] counts m starting d positions before the
+    window's end against anchor a at its right edge.  Both are zero-padded
+    (m clear of the anchor) so that every index up to the longest window,
+    |l|+|m|+|r| <= 3 * longest string, is valid.
+    """
+    width = 3 * max(lengths) + 1
+    left: dict[tuple[int, int], list[int]] = {}
+    right: dict[tuple[int, int], list[int]] = {}
+    for a, len_a in enumerate(lengths):
+        for m, len_m in enumerate(lengths):
+            if m == a:
+                continue
+            # shift s+|m|-1 puts m's last character under the left anchor;
+            # shift |m|+|a|-1-d does the same under the right anchor
+            counts = table.counts(a, m)
+            left[a, m] = counts[len_m - 1 :] + [0] * (width - len_a - 1)
+            counts.reverse()
+            right[a, m] = counts + [0] * (width - len_a - len_m)
+    return left, right
+
+
+def _first_fit(
+    left: list[int], right: list[int], len_m: int, lengths: range, k: int
+) -> tuple[CorePlacement | None, int]:
+    """First (length, start) with left[start] + right[length - start] <= k.
+
+    Valid wherever the anchors' mismatches add up, i.e. where they do not
+    share window positions.  Also returns the number of cells visited: every
+    start of each missed length, plus the winner and the starts before it.
+    """
+    work = 0
+    for length in lengths:
+        for start in range(length - len_m + 1):
+            if left[start] + right[length - start] <= k:
+                return CorePlacement(length, start), work + start + 1
+        work += max(0, length - len_m + 1)
+    return None, work
+
+
+def _first_overlapping_fit(
+    table: MismatchTable,
+    l: int,
+    m: int,
+    r: int,
+    lengths: list[int],
+    clean: list[int],
+    k: int,
+) -> tuple[CorePlacement | None, int]:
+    """`_first_fit` for window lengths where l and r overlap cleanly."""
+    len_l, len_m, len_r = lengths[l], lengths[m], lengths[r]
+    work = 0
+    for length in clean:
+        for start in range(length - len_m + 1):
+            work += 1
+            mistakes = placement_mismatches(
+                table, l, m, r, len_l, len_m, len_r, length, start
+            )
+            if mistakes <= k:
+                return CorePlacement(length, start), work
+    return None, work
+
+
 def build_triple_cores(
     instance: Instance, table: MismatchTable, counters: Counters | None = None
 ) -> dict[tuple[int, int, int], CorePlacement]:
@@ -122,10 +201,10 @@ def build_triple_cores(
     Always succeeds: the window that concatenates l, m, r disjointly is
     feasible with zero mismatches, so every entry is finite.
     """
-    strings = instance.strings
     n = instance.n
     k = instance.k
-    lengths = [len(s) for s in strings]
+    lengths = [len(s) for s in instance.strings]
+    left, right = _edge_counts(table, lengths)
     result: dict[tuple[int, int, int], CorePlacement] = {}
     work = 0
     for l in range(n):
@@ -134,24 +213,21 @@ def build_triple_cores(
             if r == l:
                 continue
             len_r = lengths[r]
+            overlay = table.counts(l, r)
+            clean = [
+                length
+                for length in range(max(len_l, len_r), len_l + len_r)
+                if overlay[length - 1] == 0
+            ]
             for m in range(n):
                 if m == l or m == r:
                     continue
-                len_m = lengths[m]
-                placement = None
-                for length in range(max(len_l, len_r), len_l + len_r + len_m + 1):
-                    if length < len_l + len_r and table.count(l, r, length - 1) != 0:
-                        continue
-                    for start in range(length - len_m + 1):
-                        work += 1
-                        mistakes = placement_mismatches(
-                            table, l, m, r, len_l, len_m, len_r, length, start
-                        )
-                        if mistakes <= k:
-                            placement = CorePlacement(length, start)
-                            break
-                    if placement is not None:
-                        break
+                placement, cells = _first_overlapping_fit(table, l, m, r, lengths, clean, k)
+                work += cells
+                if placement is None:
+                    disjoint = range(len_l + len_r, len_l + len_r + lengths[m] + 1)
+                    placement, cells = _first_fit(left[l, m], right[r, m], lengths[m], disjoint, k)
+                    work += cells
                 assert placement is not None, "disjoint concatenation is always feasible"
                 result[l, m, r] = placement
     if counters is not None:
@@ -168,53 +244,33 @@ def build_pair_cores(
     mismatches counted against l only.  pair_right[(m, r)] is the mirror
     image with r at the right edge.
     """
-    strings = instance.strings
     n = instance.n
     k = instance.k
-    lengths = [len(s) for s in strings]
+    lengths = [len(s) for s in instance.strings]
+    left, right = _edge_counts(table, lengths)
+    # the absent anchor contributes no mismatches anywhere
+    free = [0] * (3 * max(lengths) + 1)
     pair_left: dict[tuple[int, int], CorePlacement] = {}
     pair_right: dict[tuple[int, int], CorePlacement] = {}
     work = 0
-
     for l in range(n):
-        len_l = lengths[l]
         for m in range(n):
             if m == l:
                 continue
-            len_m = lengths[m]
-            placement = None
-            for length in range(max(len_l, len_m), len_l + len_m + 1):
-                for start in range(length - len_m + 1):
-                    work += 1
-                    # the slider's end never leaves the (l, m) shift domain here
-                    if table.count(l, m, start + len_m - 1) <= k:
-                        placement = CorePlacement(length, start)
-                        break
-                if placement is not None:
-                    break
+            span = range(max(lengths[l], lengths[m]), lengths[l] + lengths[m] + 1)
+            placement, cells = _first_fit(left[l, m], free, lengths[m], span, k)
             assert placement is not None
             pair_left[l, m] = placement
-
+            work += cells
     for m in range(n):
-        len_m = lengths[m]
         for r in range(n):
             if r == m:
                 continue
-            len_r = lengths[r]
-            placement = None
-            for length in range(max(len_m, len_r), len_m + len_r + 1):
-                for start in range(length - len_m + 1):
-                    work += 1
-                    end_in_r = start + len_m - 1 - (length - len_r)
-                    mistakes = table.count(r, m, end_in_r) if end_in_r >= 0 else 0
-                    if mistakes <= k:
-                        placement = CorePlacement(length, start)
-                        break
-                if placement is not None:
-                    break
+            span = range(max(lengths[m], lengths[r]), lengths[m] + lengths[r] + 1)
+            placement, cells = _first_fit(free, right[r, m], lengths[m], span, k)
             assert placement is not None
             pair_right[m, r] = placement
-
+            work += cells
     if counters is not None:
         counters.core_scan += work
     return pair_left, pair_right

@@ -46,6 +46,10 @@ class MismatchTable:
         """Number of mismatches at the given alignment."""
         return len(self._shift_lists(i, j, shift))
 
+    def counts(self, i: int, j: int) -> list[int]:
+        """Number of mismatches at every shift of base i, slider j, as a new list."""
+        return [len(positions) for positions in self._lists[i, j]]
+
     def count_up_to(self, i: int, j: int, shift: int, bound: int) -> int:
         """Number of stored mismatch positions that are <= bound."""
         return bisect_right(self._shift_lists(i, j, shift), bound)

@@ -203,3 +203,29 @@ def test_main_smoke(capsys):
     assert main(["--strings", "ab,ba", "--k", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["length"] == 2
+
+
+def test_verify_failure_exit_code(monkeypatch):
+    # the solver's witnesses verify, so a rejected one can only be simulated
+    import superstring.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "verify_solution", lambda inst, sol: ["simulated"])
+    config = RunConfig(k=2, strings=["ab", "cd"], reconstruct=True, verify=True)
+    code, out, err = run_capture(config)
+    assert code == 1
+    assert out == ""
+    assert "verification failed: simulated" in err
+
+
+def test_counter_bound_exit_code(monkeypatch):
+    # real counts stay within their bounds, so an excess can only be simulated
+    from superstring import Counters
+
+    monkeypatch.setattr(
+        Counters, "bounds", staticmethod(lambda n, c: dict.fromkeys(Counters.NAMES, -1))
+    )
+    config = RunConfig(k=2, strings=["ab", "cd"], json_output=True, counters=True)
+    code, out, err = run_capture(config)
+    assert code == 1
+    assert out == ""
+    assert "counter bound exceeded" in err

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superstring import make_instance, build_mismatch_table
-from conftest import naive_mismatch_positions
+from conftest import naive_mismatch_positions, random_valid_instance
 
 
 def table_for(strings):
@@ -103,3 +103,17 @@ def test_up_to_full_bound_equals_count(strings):
             bound = len(strings[i]) + len(strings[j])
             for shift in range(table.shift_count(i, j)):
                 assert table.count_up_to(i, j, shift, bound) == table.count(i, j, shift)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_counts_match_position_lists(seed):
+    inst = random_valid_instance(seed, n_choices=(3, 4, 5), max_len=9, alphabets=(2, 3, 4))
+    table = build_mismatch_table(inst)
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i == j:
+                continue
+            counts = table.counts(i, j)
+            assert len(counts) == table.shift_count(i, j)
+            for shift, count in enumerate(counts):
+                assert count == len(table.positions(i, j, shift))
