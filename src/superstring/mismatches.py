@@ -48,7 +48,7 @@ class MismatchTable:
 
     def counts(self, i: int, j: int) -> list[int]:
         """Number of mismatches at every shift of base i, slider j, as a new list."""
-        return [len(positions) for positions in self._lists[i, j]]
+        return list(map(len, self._lists[i, j]))
 
     def count_up_to(self, i: int, j: int, shift: int, bound: int) -> int:
         """Number of stored mismatch positions that are <= bound."""
