@@ -5,9 +5,10 @@ strings of length 3-5 over "abc", k in 1..4, so absorbed shapes decide most
 answers.  Each anchored instance has 5-6 strings of one length in 12..20
 over "abcd", k in 1..4: nothing can be absorbed, so the merge cores (and
 their ``m_start`` placements) set the winning witnesses.  The stored tuple
-``(length, mistake_index, witness, offsets, mismatch_positions)`` pins not
-only the optimum but the witness and every tie-break, so a rewrite of the
-composition step or of the core builders must reproduce them byte for byte.
+``(length, mistake_index, witness, offsets, mismatch_positions, counters)``
+pins not only the optimum but the witness, every tie-break and the work each
+phase did, so a rewrite of the composition step or of the core builders must
+reproduce them byte for byte.
 
 Regenerate the data (only when an output change is intended) with::
 
@@ -16,6 +17,7 @@ Regenerate the data (only when an output change is intended) with::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -74,6 +76,7 @@ def golden_row(seed: int, draw=golden_instance) -> dict:
         "witness": solution.witness,
         "offsets": solution.offsets,
         "mismatch_positions": solution.mismatch_positions,
+        "counters": dataclasses.asdict(solution.counters),
     }
 
 
