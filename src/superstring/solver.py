@@ -23,6 +23,14 @@ compositions miss exactly those arrangements.
 The all-exact chain (the classical shortest superstring of the whole set) is
 always feasible and seeds the minimisation.
 
+Every absorbed shape is one (kind, l, r) triple, -1 marking an absent
+anchor, searched by a single loop over interior sets.  The shapes differ
+only in their glue, the length the strings outside the window add: a left
+chain ending in l, a right chain starting in r, the cheapest split of the
+outside strings between both, or nothing when every string is inside.
+Reconstruction likewise has one path: the window comes from the core tables
+or the placement engine, and each chain is laid out iff its anchor exists.
+
 Absorbed shapes are searched by one placement engine per mistake string m
 (``_Placer``).  Every string short enough to fit strictly inside m is
 packed once, at each inner offset, into integers: character codes, a span
@@ -31,17 +39,20 @@ mask and a mask of its disagreements with m.  Anchor windows for a pair
 while the scans stay on that pair; each window carries the cover its
 anchors fix and, per string, the placements that agree with it within
 budget.  Whether an interior set fits under a cover is a bitwise depth-first
-search, memoised per m, so the composition loops, which enumerate only
+search, memoised per m, so the composition loop, which enumerates only
 interior sets drawn from the strings that fit, pay for each distinct
 question once.  Reconstruction asks the same engine for the winning
 offsets.
 
-Candidates are compared as tuples
-``(length, kind, m, l, r, interior_mask, partition_mask)`` in lexicographic
-order; window scans are pruned once they can no longer strictly improve on
-the incumbent, so among equal-length optima the earliest shape in that
-order wins.  Both rules are fixed, so the reported answer, witness and
-offsets do not depend on evaluation order.
+Candidates are tuples ``(length, kind, m, l, r, interior_mask,
+partition_mask)``, where the partition mask is the left chain's share of
+the strings outside the window.  The answer is the least candidate in that
+order, with one exception: interior sets are tried in descending mask order
+and a window scan only reports a window strictly shorter than the
+incumbent, so among equal-length absorbed candidates of one (kind, m, l, r)
+the first set tried, the one with the largest mask, wins.  The enumeration
+order is fixed, so the reported answer, witness and offsets are
+deterministic.
 """
 
 from __future__ import annotations
@@ -104,6 +115,11 @@ def _submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def _bit(i: int) -> int:
+    """The mask of string i, or 0 for an absent anchor (-1)."""
+    return 1 << i if i >= 0 else 0
 
 
 def _bits(mask: int, n: int) -> list[int]:
@@ -204,14 +220,7 @@ class _Placer:
         self.len_r = len_r = len(strings[r]) if r >= 0 else 0
         self.l_value = _pack(strings[l], 0, code, width) if l >= 0 else 0
         self.r_value = _pack(strings[r], 0, code, width) if r >= 0 else 0
-        if l >= 0 and r >= 0:
-            self.lengths = range(max(len_l, len_r), len_l + len_m + len_r + 1)
-        elif l >= 0:
-            self.lengths = range(max(len_l, len_m), len_l + len_m + 1)
-        elif r >= 0:
-            self.lengths = range(max(len_m, len_r), len_m + len_r + 1)
-        else:
-            self.lengths = range(len_m, len_m + 1)
+        self.lengths = range(max(len_l, len_m, len_r), len_l + len_m + len_r + 1)
         self.groups: list[list[tuple]] = []
         self.covers: dict[tuple[int, int], tuple | None] = {}
 
@@ -311,7 +320,7 @@ class _Placer:
 
 
 def _min_glue(dp_right, dp_left, outside, l, r, counters):
-    """Cheapest left/right chain split of `outside` around anchors l and r."""
+    """Cheapest left/right chain split of `outside` around anchors l and r, and its left share."""
     best = None
     best_sub = 0
     for sub in _submasks(outside):
@@ -326,128 +335,97 @@ def _min_glue(dp_right, dp_left, outside, l, r, counters):
 def _candidates_for_m(instance, tables, m, baseline_value, counters):
     """Best candidate tuple with string m carrying the mismatches.
 
-    Anchored terms come first, then absorbed variants in ascending
-    (kind, l, r, interior-mask) order; a later candidate is kept only when
-    strictly shorter, which together with the fixed ordering makes the
-    result independent of evaluation order.
+    Anchored terms come first and are compared as whole tuples.  Absorbed
+    shapes follow, one loop over (kind, l, r) in ascending order with
+    interior sets in descending mask order (``_submasks``); a window scan
+    only reports a window strictly shorter than the incumbent, so among
+    equal-length absorbed candidates of one (kind, l, r) the first interior
+    set tried, the largest mask, wins.
     """
     n = instance.n
-    k = instance.k
-    strings = instance.strings
-    lengths = [len(s) for s in strings]
-    full = (1 << n) - 1
-    rest_mask = full ^ (1 << m)
+    lengths = [len(s) for s in instance.strings]
+    rest_mask = ((1 << n) - 1) ^ (1 << m)
+    others = [e for e in range(n) if e != m]
     dp_right = tables.subsets.dp_right
     dp_left = tables.subsets.dp_left
     cores = tables.cores
     best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
 
-    for l in range(n):
-        if l == m:
-            continue
+    for l in others:
         counters.composition += 1
         length = dp_right[rest_mask][l] + cores.pair_left[l, m].length - lengths[l]
-        cand = (length, _EDGE_LEFT, m, l, -1, 0, 0)
+        cand = (length, _EDGE_LEFT, m, l, -1, 0, rest_mask ^ (1 << l))
         if cand < best:
             best = cand
 
-    for r in range(n):
-        if r == m:
-            continue
+    for r in others:
         counters.composition += 1
         length = cores.pair_right[m, r].length - lengths[r] + dp_left[rest_mask][r]
         cand = (length, _EDGE_RIGHT, m, -1, r, 0, 0)
         if cand < best:
             best = cand
 
-    if n >= 3:
-        for l in range(n):
-            if l == m:
+    for l in others:
+        for r in others:
+            if r == l:
                 continue
-            for r in range(n):
-                if r == m or r == l:
-                    continue
-                core_len = cores.triple[l, m, r].length
-                outside = rest_mask ^ (1 << l) ^ (1 << r)
-                glue = core_len - lengths[l] - lengths[r]
-                for sub in _submasks(outside):
-                    counters.composition += 1
-                    length = (
-                        dp_right[sub | (1 << l)][l]
-                        + glue
-                        + dp_left[(outside ^ sub) | (1 << r)][r]
-                    )
-                    cand = (length, _TRIPLE, m, l, r, 0, sub)
-                    if cand < best:
-                        best = cand
+            core_len = cores.triple[l, m, r].length
+            outside = rest_mask ^ (1 << l) ^ (1 << r)
+            glue = core_len - lengths[l] - lengths[r]
+            for sub in _submasks(outside):
+                counters.composition += 1
+                length = (
+                    dp_right[sub | (1 << l)][l]
+                    + glue
+                    + dp_left[(outside ^ sub) | (1 << r)][r]
+                )
+                cand = (length, _TRIPLE, m, l, r, 0, sub)
+                if cand < best:
+                    best = cand
 
     # absorbed variants: only strings strictly shorter than |m| - 1 can
     # vanish inside m, so interior sets are drawn from those alone
     fits = 0
-    for e in range(n):
-        if e != m and lengths[e] <= lengths[m] - 2:
+    for e in others:
+        if lengths[e] <= lengths[m] - 2:
             fits |= 1 << e
     if not fits:
         return best
     placer = _Placer(instance, tables.mismatch, m, fits, counters)
 
-    for l in range(n):
-        if l == m:
-            continue
-        chain = rest_mask ^ (1 << l)
-        for interior_mask in _submasks(chain & fits):
+    # glue of one shape for the strings `outside` its anchors and interiors:
+    # (candidate length minus window length, the left chain's share of
+    # outside), or None when the shape cannot place them
+    def left_glue(l, r, outside):
+        return dp_right[outside | 1 << l][l] - lengths[l], outside
+
+    def right_glue(l, r, outside):
+        return dp_left[outside | 1 << r][r] - lengths[r], 0
+
+    def split_glue(l, r, outside):
+        glue, sub = _min_glue(dp_right, dp_left, outside, l, r, counters)
+        return glue - lengths[l] - lengths[r], sub
+
+    def no_glue(l, r, outside):
+        return None if outside else (0, 0)
+
+    shapes = (
+        [(_EDGE_LEFT_ABS, left_glue, l, -1) for l in others]
+        + [(_EDGE_RIGHT_ABS, right_glue, -1, r) for r in others]
+        + [(_TRIPLE_ABS, split_glue, l, r) for l in others for r in others if r != l]
+        + [(_ENCLOSED, no_glue, -1, -1)]
+    )
+    for kind, glue_of, l, r in shapes:
+        around = rest_mask & ~(_bit(l) | _bit(r))
+        for interior_mask in _submasks(around & fits):
             if interior_mask == 0:
                 continue
-            cutoff = best[0] - dp_right[rest_mask ^ interior_mask][l] + lengths[l]
-            found = placer.first_window(l, -1, interior_mask, cutoff)
-            if found is not None:
-                length = dp_right[rest_mask ^ interior_mask][l] + found[0] - lengths[l]
-                cand = (length, _EDGE_LEFT_ABS, m, l, -1, interior_mask, 0)
-                if cand < best:
-                    best = cand
-
-    for r in range(n):
-        if r == m:
-            continue
-        chain = rest_mask ^ (1 << r)
-        for interior_mask in _submasks(chain & fits):
-            if interior_mask == 0:
+            glue = glue_of(l, r, around ^ interior_mask)
+            if glue is None:
                 continue
-            cutoff = best[0] - dp_left[rest_mask ^ interior_mask][r] + lengths[r]
-            found = placer.first_window(-1, r, interior_mask, cutoff)
-            if found is not None:
-                length = found[0] - lengths[r] + dp_left[rest_mask ^ interior_mask][r]
-                cand = (length, _EDGE_RIGHT_ABS, m, -1, r, interior_mask, 0)
-                if cand < best:
-                    best = cand
-
-    if n >= 4:
-        for l in range(n):
-            if l == m:
-                continue
-            for r in range(n):
-                if r == m or r == l:
-                    continue
-                around = rest_mask ^ (1 << l) ^ (1 << r)
-                for interior_mask in _submasks(around & fits):
-                    if interior_mask == 0:
-                        continue
-                    outside = around ^ interior_mask
-                    glue, glue_sub = _min_glue(dp_right, dp_left, outside, l, r, counters)
-                    cutoff = best[0] - glue + lengths[l] + lengths[r]
-                    found = placer.first_window(l, r, interior_mask, cutoff)
-                    if found is not None:
-                        length = glue + found[0] - lengths[l] - lengths[r]
-                        cand = (length, _TRIPLE_ABS, m, l, r, interior_mask, glue_sub)
-                        if cand < best:
-                            best = cand
-
-    if fits == rest_mask:
-        found = placer.first_window(-1, -1, rest_mask, best[0])
-        if found is not None:
-            cand = (found[0], _ENCLOSED, m, -1, -1, rest_mask, 0)
-            if cand < best:
-                best = cand
+            found = placer.first_window(l, r, interior_mask, best[0] - glue[0])
+            if found is not None:  # below the cutoff, so strictly shorter than best
+                best = (glue[0] + found[0], kind, m, l, r, interior_mask, glue[1])
 
     return best
 
@@ -520,52 +498,35 @@ def solve(
     return solution
 
 
-def _chain_right(instance, tables, mask: int, last: int) -> list[tuple[int, int]]:
-    """(index, start) pairs for the optimal chain over mask ending in `last`."""
-    dp = tables.subsets.dp_right
-    overlap = tables.overlap
+def _chain(instance, tables, mask: int, end: int, rightmost: bool) -> list[tuple[int, int]]:
+    """(index, start) pairs for the optimal chain over mask whose rightmost
+    (or, with rightmost False, leftmost) link is `end`.
+
+    The leftmost chain is the rightmost one on dp_left and the transposed
+    overlaps, so one walk from `end` serves both.
+    """
     lengths = [len(s) for s in instance.strings]
-    order = [last]
-    cur = last
+    overlaps = tables.overlap.values
+    if rightmost:
+        dp, gain = tables.subsets.dp_right, overlaps
+    else:
+        dp, gain = tables.subsets.dp_left, list(zip(*overlaps))
+    order = [end]
+    cur = end
     while mask != 1 << cur:
         rest = mask ^ (1 << cur)
-        prev = min(
+        cur = min(
             p
             for p in range(instance.n)
-            if rest & (1 << p)
-            and dp[rest][p] + lengths[cur] - overlap.get(p, cur) == dp[mask][cur]
+            if rest & (1 << p) and dp[rest][p] + lengths[cur] - gain[p][cur] == dp[mask][cur]
         )
-        order.append(prev)
+        order.append(cur)
         mask = rest
-        cur = prev
-    order.reverse()
-    placed = []
-    at = 0
-    for pos, idx in enumerate(order):
-        if pos:
-            at = placed[-1][1] + lengths[order[pos - 1]] - overlap.get(order[pos - 1], idx)
-        placed.append((idx, at))
-    return placed
-
-
-def _chain_left(instance, tables, mask: int, first: int) -> list[tuple[int, int]]:
-    """(index, start) pairs for the optimal chain over mask starting in `first`."""
-    dp = tables.subsets.dp_left
-    overlap = tables.overlap
-    lengths = [len(s) for s in instance.strings]
-    placed = [(first, 0)]
-    cur = first
-    while mask != 1 << cur:
-        rest = mask ^ (1 << cur)
-        nxt = min(
-            p
-            for p in range(instance.n)
-            if rest & (1 << p)
-            and dp[rest][p] + lengths[cur] - overlap.get(cur, p) == dp[mask][cur]
-        )
-        placed.append((nxt, placed[-1][1] + lengths[cur] - overlap.get(cur, nxt)))
-        mask = rest
-        cur = nxt
+    if rightmost:
+        order.reverse()
+    placed = [(order[0], 0)]
+    for prev, nxt in zip(order, order[1:]):
+        placed.append((nxt, placed[-1][1] + lengths[prev] - overlaps[prev][nxt]))
     return placed
 
 
@@ -576,58 +537,39 @@ def _assemble(instance, tables, best, baseline_j) -> tuple[str, list[int]]:
     strings = instance.strings
     lengths = [len(s) for s in strings]
     full = (1 << n) - 1
-    rest_mask = full ^ (1 << m) if kind != _BASELINE else 0
-
-    def rescan(anchor_l, anchor_r):
-        placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters())
-        found = placer.place(anchor_l, anchor_r, interior_mask, length + 1)
-        assert found is not None, "winning window vanished on reconstruction"
-        return found
 
     if kind == _BASELINE:
-        placed = _chain_right(instance, tables, full, baseline_j)
-    elif kind in (_EDGE_LEFT, _EDGE_LEFT_ABS):
-        chain_mask = rest_mask ^ interior_mask
-        placed = _chain_right(instance, tables, chain_mask, l)
-        chain_len = tables.subsets.dp_right[chain_mask][l]
-        window_start = chain_len - lengths[l]
-        if kind == _EDGE_LEFT:
-            core = tables.cores.pair_left[l, m]
-            m_start, inner = core.m_start, {}
-        else:
-            _, m_start, inner = rescan(l, -1)
-        placed.append((m, window_start + m_start))
-        placed.extend((e, window_start + m_start + off) for e, off in sorted(inner.items()))
-    elif kind in (_EDGE_RIGHT, _EDGE_RIGHT_ABS):
-        chain_mask = rest_mask ^ interior_mask
-        if kind == _EDGE_RIGHT:
-            core = tables.cores.pair_right[m, r]
+        placed = _chain(instance, tables, full, baseline_j, rightmost=True)
+    else:
+        if interior_mask == 0:
+            cores = tables.cores
+            if l >= 0 and r >= 0:
+                core = cores.triple[l, m, r]
+            elif l >= 0:
+                core = cores.pair_left[l, m]
+            else:
+                core = cores.pair_right[m, r]
             window_len, m_start, inner = core.length, core.m_start, {}
         else:
-            window_len, m_start, inner = rescan(-1, r)
-        placed = [(m, m_start)]
-        placed.extend((e, m_start + off) for e, off in sorted(inner.items()))
-        shift = window_len - lengths[r]
-        placed.extend((idx, shift + at) for idx, at in _chain_left(instance, tables, chain_mask, r))
-    elif kind in (_TRIPLE, _TRIPLE_ABS):
-        outside = rest_mask ^ (1 << l) ^ (1 << r) ^ interior_mask
-        if kind == _TRIPLE:
-            core = tables.cores.triple[l, m, r]
-            window_len, m_start, inner = core.length, core.m_start, {}
-        else:
-            window_len, m_start, inner = rescan(l, r)
-        left_mask = sub | (1 << l)
-        right_mask = (outside ^ sub) | (1 << r)
-        placed = _chain_right(instance, tables, left_mask, l)
-        window_start = tables.subsets.dp_right[left_mask][l] - lengths[l]
+            placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters())
+            found = placer.place(l, r, interior_mask, length + 1)
+            assert found is not None, "winning window vanished on reconstruction"
+            window_len, m_start, inner = found
+        # each chain exists iff its anchor does; `sub` is the left chain's
+        # share of the strings outside the window, the right chain has the rest
+        left_mask = sub | _bit(l)
+        placed = []
+        window_start = 0
+        if l >= 0:
+            placed = _chain(instance, tables, left_mask, l, rightmost=True)
+            window_start = tables.subsets.dp_right[left_mask][l] - lengths[l]
         placed.append((m, window_start + m_start))
         placed.extend((e, window_start + m_start + off) for e, off in sorted(inner.items()))
-        shift = window_start + window_len - lengths[r]
-        placed.extend((idx, shift + at) for idx, at in _chain_left(instance, tables, right_mask, r))
-    else:  # _ENCLOSED
-        _, m_start, inner = rescan(-1, -1)
-        placed = [(m, 0)]
-        placed.extend((e, off) for e, off in sorted(inner.items()))
+        if r >= 0:
+            shift = window_start + window_len - lengths[r]
+            right_mask = full ^ (1 << m) ^ interior_mask ^ left_mask
+            chain = _chain(instance, tables, right_mask, r, rightmost=False)
+            placed.extend((idx, shift + at) for idx, at in chain)
 
     offsets = [0] * n
     for idx, at in placed:

@@ -7,13 +7,16 @@ the string's own length by convention and never read by the tables below.
 
 ``dp_right[mask][j]`` is the length of the shortest string containing every
 input named by ``mask`` exactly, arranged as a chain glued at maximal clean
-overlaps, with string j the rightmost link.  ``dp_left`` mirrors it with j
-the leftmost link.  Masks are iterated in increasing order so every submask
-is ready when needed.
+overlaps, with string j the rightmost link.  ``dp_left`` has j as the
+leftmost link.  It is not a separate mirror: it is the same recurrence run
+on the transposed overlap table, since prepending j to a chain that starts
+with p gains overlap(j, p), the transposed entry (p, j).  Masks are iterated
+in increasing order so every submask is ready when needed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .counters import Counters
@@ -56,9 +59,7 @@ def _overlap_via_mismatch_lists(table: MismatchTable, lengths, w: int, v: int) -
     return 0
 
 
-def build_overlap_table(
-    instance: Instance, table: MismatchTable | None = None, counters: Counters | None = None
-) -> OverlapTable:
+def build_overlap_table(instance: Instance, table: MismatchTable | None = None) -> OverlapTable:
     """Maximal clean overlap for every ordered pair, |s_w| on the diagonal.
 
     Overlaps are defined by direct suffix/prefix equality.  When a mismatch
@@ -87,10 +88,10 @@ def build_overlap_table(
     return OverlapTable(values)
 
 
-def build_dp_right(
-    instance: Instance, overlap: OverlapTable, counters: Counters | None = None
-) -> list[list[int | None]]:
-    """Fill dp_right for all non-empty masks and all members."""
+def _chain_dp(
+    instance: Instance, overlaps: Sequence[Sequence[int]]
+) -> tuple[list[list[int | None]], int]:
+    """``dp[mask][j]``: min over p of ``dp[mask - j][p] + |s_j| - overlaps[p][j]``, with its work."""
     n = instance.n
     lengths = [len(s) for s in instance.strings]
     dp: list[list[int | None]] = [[None] * n for _ in range(1 << n)]
@@ -107,10 +108,18 @@ def build_dp_right(
                 if not rest & (1 << p):
                     continue
                 work += 1
-                value = dp[rest][p] + lengths[j] - overlap.get(p, j)
+                value = dp[rest][p] + lengths[j] - overlaps[p][j]
                 if value < best:
                     best = value
             dp[mask][j] = best
+    return dp, work
+
+
+def build_dp_right(
+    instance: Instance, overlap: OverlapTable, counters: Counters | None = None
+) -> list[list[int | None]]:
+    """Fill dp_right for all non-empty masks and all members."""
+    dp, work = _chain_dp(instance, overlap.values)
     if counters is not None:
         counters.dp_right += work
     return dp
@@ -119,27 +128,8 @@ def build_dp_right(
 def build_dp_left(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> list[list[int | None]]:
-    """Mirror of :func:`build_dp_right`, extending chains on the left."""
-    n = instance.n
-    lengths = [len(s) for s in instance.strings]
-    dp: list[list[int | None]] = [[None] * n for _ in range(1 << n)]
-    work = 0
-    for j in range(n):
-        dp[1 << j][j] = lengths[j]
-    for mask in range(1, 1 << n):
-        for j in range(n):
-            if not mask & (1 << j) or mask == 1 << j:
-                continue
-            rest = mask ^ (1 << j)
-            best = INFINITY
-            for p in range(n):
-                if not rest & (1 << p):
-                    continue
-                work += 1
-                value = dp[rest][p] + lengths[j] - overlap.get(j, p)
-                if value < best:
-                    best = value
-            dp[mask][j] = best
+    """Fill dp_left: the dp_right recurrence on the transposed overlap table."""
+    dp, work = _chain_dp(instance, list(zip(*overlap.values)))
     if counters is not None:
         counters.dp_left += work
     return dp
