@@ -49,7 +49,6 @@ class RunConfig:
     strings: list[str] | None = None
     gen: GeneratorParams | None = None
     seed: int = 0
-    threads: int | None = None
     reconstruct: bool = False
     verify: bool = False
     oracle_check: bool = False
@@ -217,12 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--k", type=int, default=0, help="mismatch budget (default 0)")
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility and ignored: the solver runs serially",
-    )
     parser.add_argument("--reconstruct", action="store_true", help="emit a witness superstring")
     parser.add_argument("--verify", action="store_true", help="re-check the witness before emitting")
     parser.add_argument("--oracle-check", action="store_true", help="cross-check against the brute-force reference")
@@ -239,7 +232,6 @@ def config_from_args(argv=None) -> RunConfig:
         strings=args.strings.split(",") if args.strings is not None else None,
         gen=_parse_gen_spec(args.gen) if args.gen is not None else None,
         seed=args.seed,
-        threads=args.threads,
         reconstruct=args.reconstruct or args.verify,
         verify=args.verify,
         oracle_check=args.oracle_check,

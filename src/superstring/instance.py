@@ -35,7 +35,7 @@ class InvalidInstanceError(InstanceError):
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable problem instance (safe to share across threads)."""
+    """An immutable problem instance, safe to share."""
 
     strings: tuple[str, ...]
     k: int

@@ -438,17 +438,8 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     return _Tables(mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets)
 
 
-def solve(
-    instance: Instance,
-    *,
-    reconstruct: bool = False,
-    threads: int = 1,
-) -> Solution:
-    """Minimal containing-string length for the instance, optionally with witness.
-
-    ``threads`` is accepted for compatibility and ignored: the scans run
-    serially, because a thread pool over them gave no speedup under the GIL.
-    """
+def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
+    """Minimal containing-string length for the instance, optionally with witness."""
     report = validate(instance)
     if not report.ok:
         raise InvalidInstanceError(report)

@@ -21,7 +21,7 @@ def run_capture(config):
 
 
 def test_json_output_schema():
-    config = RunConfig(k=2, strings=["ab", "cd"], json_output=True, threads=1)
+    config = RunConfig(k=2, strings=["ab", "cd"], json_output=True)
     code, out, err = run_capture(config)
     assert code == 0
     payload = json.loads(out)
@@ -43,9 +43,7 @@ def test_json_output_schema():
 
 
 def test_json_with_reconstruct_and_counters():
-    config = RunConfig(
-        k=2, strings=["ab", "cd"], json_output=True, reconstruct=True, counters=True, threads=1
-    )
+    config = RunConfig(k=2, strings=["ab", "cd"], json_output=True, reconstruct=True, counters=True)
     code, out, _ = run_capture(config)
     assert code == 0
     payload = json.loads(out)
@@ -57,14 +55,14 @@ def test_json_with_reconstruct_and_counters():
 
 
 def test_human_output():
-    config = RunConfig(k=2, strings=["ab", "cd"], threads=1)
+    config = RunConfig(k=2, strings=["ab", "cd"])
     code, out, _ = run_capture(config)
     assert code == 0
     assert out.splitlines()[0] == "length=2 m=0"
 
 
 def test_substring_violation_exit_code_and_message():
-    config = RunConfig(k=0, strings=["ab", "abc"], threads=1)
+    config = RunConfig(k=0, strings=["ab", "abc"])
     code, out, err = run_capture(config)
     assert code == 2
     assert "substring violation" in err
@@ -74,7 +72,7 @@ def test_substring_violation_exit_code_and_message():
 def test_empty_file_input(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n")
-    config = RunConfig(k=0, input_path=str(path), threads=1)
+    config = RunConfig(k=0, input_path=str(path))
     code, _, err = run_capture(config)
     assert code == 2
     assert "no strings" in err
@@ -83,14 +81,14 @@ def test_empty_file_input(tmp_path):
 def test_file_input(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("# demo\nab\ncd\n")
-    config = RunConfig(k=2, input_path=str(path), json_output=True, threads=1)
+    config = RunConfig(k=2, input_path=str(path), json_output=True)
     code, out, _ = run_capture(config)
     assert code == 0
     assert json.loads(out)["length"] == 2
 
 
 def test_oracle_check_agreement():
-    config = RunConfig(k=1, strings=["ab", "ba"], oracle_check=True, threads=1)
+    config = RunConfig(k=1, strings=["ab", "ba"], oracle_check=True)
     code, _, _ = run_capture(config)
     assert code == 0
 
@@ -98,7 +96,7 @@ def test_oracle_check_agreement():
 def test_oracle_check_limit_exit_code():
     config = RunConfig(
         k=1, gen=GeneratorParams(count=6, min_len=3, max_len=3, alphabet=3),
-        seed=5, oracle_check=True, threads=1,
+        seed=5, oracle_check=True,
     )
     code, _, err = run_capture(config)
     assert code == 3
@@ -113,16 +111,14 @@ def test_oracle_disagreement_exit_code(monkeypatch):
     monkeypatch.setattr(
         cli_module, "brute_force_min_length", lambda inst: OracleResult(1, "x", 0)
     )
-    config = RunConfig(k=1, strings=["ab", "ba"], oracle_check=True, threads=1)
+    config = RunConfig(k=1, strings=["ab", "ba"], oracle_check=True)
     code, _, err = run_capture(config)
     assert code == 4
     assert "disagreement" in err
 
 
 def test_verify_flag_passes_on_valid_run():
-    config = RunConfig(
-        k=2, strings=["ab", "cd"], reconstruct=True, verify=True, threads=1
-    )
+    config = RunConfig(k=2, strings=["ab", "cd"], reconstruct=True, verify=True)
     code, out, err = run_capture(config)
     assert code == 0
     assert err == ""
@@ -165,14 +161,14 @@ def test_generator_infeasible():
 def test_gen_run_byte_identical():
     config = RunConfig(
         k=1, gen=GeneratorParams(count=3, min_len=2, max_len=4, alphabet=2),
-        seed=7, json_output=True, reconstruct=True, threads=1,
+        seed=7, json_output=True, reconstruct=True,
     )
     outputs = {run_capture(config)[1] for _ in range(2)}
     assert len(outputs) == 1
 
 
 def test_counters_zero_for_singleton():
-    config = RunConfig(k=3, strings=["abc"], json_output=True, counters=True, threads=1)
+    config = RunConfig(k=3, strings=["abc"], json_output=True, counters=True)
     code, out, _ = run_capture(config)
     assert code == 0
     counters = json.loads(out)["counters"]
@@ -180,13 +176,15 @@ def test_counters_zero_for_singleton():
 
 
 def test_argparse_round_trip():
-    config = config_from_args(
-        ["--strings", "ab,cd", "--k", "2", "--json", "--reconstruct", "--threads", "2"]
-    )
+    argv = ["--strings", "ab,cd", "--k", "2", "--json", "--reconstruct"]
+    config = config_from_args(argv)
     assert config.strings == ["ab", "cd"]
     assert config.k == 2
     assert config.json_output and config.reconstruct
-    assert config.threads == 2
+    # the solver is serial; --threads is no longer an option
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--threads", "2"])
+    assert exit_info.value.code == 2
 
 
 def test_argparse_gen_spec():

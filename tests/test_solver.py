@@ -151,20 +151,6 @@ def test_zero_budget_equals_classical():
         assert solve(inst).length == brute_force_scs(inst)
 
 
-def test_thread_count_does_not_change_anything():
-    for seed in range(1020, 1040):
-        inst = random_valid_instance(seed)
-        base = solve(inst, reconstruct=True, threads=1)
-        for threads in (2, 8):
-            other = solve(inst, reconstruct=True, threads=threads)
-            assert (other.length, other.mistake_index, other.witness, other.offsets) == (
-                base.length,
-                base.mistake_index,
-                base.witness,
-                base.offsets,
-            )
-
-
 def test_length_never_exceeds_classical_scs():
     for seed in range(1040, 1060):
         inst = random_valid_instance(seed, n_choices=(2, 3, 4, 5))
