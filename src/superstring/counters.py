@@ -34,22 +34,25 @@ class Counters:
 
     @staticmethod
     def bounds(n: int, c: int) -> dict[str, int]:
+        # composition counts the n baseline candidates plus one per anchored
+        # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n.
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries (memoised
         # feasibility answers try none).  The search has no tight polynomial
         # shape, so its bound is the product of its loop ranges
         # (anchor/interior-set choices, window cells, placement tree) and is
         # deliberately loose.  glue_scan counts the left/right chain splits
-        # tried for the absorbed triple shape: one per submask of the strings
-        # outside (l, m, r, interiors), at most 3^(n-3) per (m, l, r)
+        # tried for a triple shape, anchored or absorbed: one per submask of
+        # the strings outside (l, m, r, interiors).  Summed over the interior
+        # sets of one (m, l, r) that is at most 3^(n-3)
         return {
             "pair_build": n * n * (2 * c) ** 2,
             "core_scan": n ** 3 * (3 * c) ** 2,
             "dp_right": n * n * 2 ** n,
             "dp_left": n * n * 2 ** n,
-            "composition": n ** 3 * 2 ** n,
+            "composition": n ** 3,
             "window_scan": n ** 4 * 3 ** n * (3 * c) ** 2 * c ** n,
-            "glue_scan": n ** 3 * 3 ** n,
+            "glue_scan": n * (n - 1) * (n - 2) * 3 ** max(n - 3, 0),
         }
 
     def report(self, n: int, c: int) -> dict[str, dict[str, int]]:

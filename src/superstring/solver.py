@@ -23,13 +23,16 @@ compositions miss exactly those arrangements.
 The all-exact chain (the classical shortest superstring of the whole set) is
 always feasible and seeds the minimisation.
 
-Every absorbed shape is one (kind, l, r) triple, -1 marking an absent
-anchor, searched by a single loop over interior sets.  The shapes differ
-only in their glue, the length the strings outside the window add: a left
-chain ending in l, a right chain starting in r, the cheapest split of the
-outside strings between both, or nothing when every string is inside.
-Reconstruction likewise has one path: the window comes from the core tables
-or the placement engine, and each chain is laid out iff its anchor exists.
+Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
+an absent anchor, searched by a single loop over interior sets: an anchored
+shape has only the empty one, an absorbed shape every non-empty one.  The
+shapes differ only in their glue, the length the strings outside the window
+add: a left chain ending in l, a right chain starting in r, the cheapest
+split of the outside strings between both, or nothing when every string is
+inside.  One helper (``_window``) gives the window for composition and
+reconstruction alike: the merge core when the interior set is empty, the
+placement engine otherwise.  Reconstruction has one path: each chain is
+laid out iff its anchor exists.
 
 Absorbed shapes are searched by one placement engine per mistake string m
 (``_Placer``).  Every string short enough to fit strictly inside m is
@@ -308,15 +311,11 @@ class _Placer:
                     return length, start, cover
         return None
 
-    def place(self, l, r, interior_mask, cutoff):
-        """(length, m_start, {interior: offset in m}) of the first window, or None."""
-        found = self.first_window(l, r, interior_mask, cutoff)
-        if found is None:
-            return None
-        length, start, (value, covered, cost, options, _, _) = found
+    def interiors(self, cover, interior_mask):
+        """{interior: offset in m} of the first placement of interior_mask under a window's cover."""
+        value, covered, cost, options, _, _ = cover
         order = _bits(interior_mask, len(options))
-        placed = _search(options, order, 0, value, covered, cost, self.k, self.counters)
-        return length, start, dict(placed)
+        return dict(_search(options, order, 0, value, covered, cost, self.k, self.counters))
 
 
 def _min_glue(dp_right, dp_left, outside, l, r, counters):
@@ -332,15 +331,35 @@ def _min_glue(dp_right, dp_left, outside, l, r, counters):
     return best, best_sub
 
 
+def _window(cores, placer, m, l, r, interior_mask, cutoff):
+    """(length, m_start, cover) of the first window shorter than cutoff, or None.
+
+    The window holds m, the anchors l and r (-1 when absent) and the strings
+    of interior_mask strictly inside m.  With no interiors it is the merge
+    core of the anchors and m, whose cover is None; otherwise the placement
+    engine scans for it.
+    """
+    if interior_mask:
+        return placer.first_window(l, r, interior_mask, cutoff)
+    if l >= 0 and r >= 0:
+        core = cores.triple[l, m, r]
+    elif l >= 0:
+        core = cores.pair_left[l, m]
+    else:
+        core = cores.pair_right[m, r]
+    return (core.length, core.m_start, None) if core.length < cutoff else None
+
+
 def _candidates_for_m(instance, tables, m, baseline_value, counters):
     """Best candidate tuple with string m carrying the mismatches.
 
-    Anchored terms come first and are compared as whole tuples.  Absorbed
-    shapes follow, one loop over (kind, l, r) in ascending order with
-    interior sets in descending mask order (``_submasks``); a window scan
-    only reports a window strictly shorter than the incumbent, so among
-    equal-length absorbed candidates of one (kind, l, r) the first interior
-    set tried, the largest mask, wins.
+    One loop over (kind, l, r) shapes in ascending order.  An anchored shape
+    has one interior set, the empty one; an absorbed shape tries the
+    non-empty ones in descending mask order (``_submasks``).  A candidate is
+    kept only when strictly shorter than the incumbent, so among
+    equal-length candidates the first one tried wins: the least (kind, l, r)
+    and, for one absorbed (kind, l, r), the largest interior mask.  The chain
+    split of a triple is ``_min_glue``'s, the smallest among equal lengths.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -348,50 +367,15 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
     others = [e for e in range(n) if e != m]
     dp_right = tables.subsets.dp_right
     dp_left = tables.subsets.dp_left
-    cores = tables.cores
     best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
 
-    for l in others:
-        counters.composition += 1
-        length = dp_right[rest_mask][l] + cores.pair_left[l, m].length - lengths[l]
-        cand = (length, _EDGE_LEFT, m, l, -1, 0, rest_mask ^ (1 << l))
-        if cand < best:
-            best = cand
-
-    for r in others:
-        counters.composition += 1
-        length = cores.pair_right[m, r].length - lengths[r] + dp_left[rest_mask][r]
-        cand = (length, _EDGE_RIGHT, m, -1, r, 0, 0)
-        if cand < best:
-            best = cand
-
-    for l in others:
-        for r in others:
-            if r == l:
-                continue
-            core_len = cores.triple[l, m, r].length
-            outside = rest_mask ^ (1 << l) ^ (1 << r)
-            glue = core_len - lengths[l] - lengths[r]
-            for sub in _submasks(outside):
-                counters.composition += 1
-                length = (
-                    dp_right[sub | (1 << l)][l]
-                    + glue
-                    + dp_left[(outside ^ sub) | (1 << r)][r]
-                )
-                cand = (length, _TRIPLE, m, l, r, 0, sub)
-                if cand < best:
-                    best = cand
-
-    # absorbed variants: only strings strictly shorter than |m| - 1 can
-    # vanish inside m, so interior sets are drawn from those alone
+    # only strings strictly shorter than |m| - 1 can vanish inside m, so
+    # interior sets are drawn from those alone
     fits = 0
     for e in others:
         if lengths[e] <= lengths[m] - 2:
             fits |= 1 << e
-    if not fits:
-        return best
-    placer = _Placer(instance, tables.mismatch, m, fits, counters)
+    placer = _Placer(instance, tables.mismatch, m, fits, counters) if fits else None
 
     # glue of one shape for the strings `outside` its anchors and interiors:
     # (candidate length minus window length, the left chain's share of
@@ -409,21 +393,28 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
     def no_glue(l, r, outside):
         return None if outside else (0, 0)
 
+    pairs = [(l, r) for l in others for r in others if r != l]
     shapes = (
-        [(_EDGE_LEFT_ABS, left_glue, l, -1) for l in others]
+        [(_EDGE_LEFT, left_glue, l, -1) for l in others]
+        + [(_EDGE_RIGHT, right_glue, -1, r) for r in others]
+        + [(_TRIPLE, split_glue, l, r) for l, r in pairs]
+        + [(_EDGE_LEFT_ABS, left_glue, l, -1) for l in others]
         + [(_EDGE_RIGHT_ABS, right_glue, -1, r) for r in others]
-        + [(_TRIPLE_ABS, split_glue, l, r) for l in others for r in others if r != l]
+        + [(_TRIPLE_ABS, split_glue, l, r) for l, r in pairs]
         + [(_ENCLOSED, no_glue, -1, -1)]
     )
     for kind, glue_of, l, r in shapes:
         around = rest_mask & ~(_bit(l) | _bit(r))
-        for interior_mask in _submasks(around & fits):
-            if interior_mask == 0:
-                continue
+        if kind <= _TRIPLE:
+            counters.composition += 1
+            interior_sets = (0,)
+        else:
+            interior_sets = (s for s in _submasks(around & fits) if s)
+        for interior_mask in interior_sets:
             glue = glue_of(l, r, around ^ interior_mask)
             if glue is None:
                 continue
-            found = placer.first_window(l, r, interior_mask, best[0] - glue[0])
+            found = _window(tables.cores, placer, m, l, r, interior_mask, best[0] - glue[0])
             if found is not None:  # below the cutoff, so strictly shorter than best
                 best = (glue[0] + found[0], kind, m, l, r, interior_mask, glue[1])
 
@@ -532,20 +523,11 @@ def _assemble(instance, tables, best, baseline_j) -> tuple[str, list[int]]:
     if kind == _BASELINE:
         placed = _chain(instance, tables, full, baseline_j, rightmost=True)
     else:
-        if interior_mask == 0:
-            cores = tables.cores
-            if l >= 0 and r >= 0:
-                core = cores.triple[l, m, r]
-            elif l >= 0:
-                core = cores.pair_left[l, m]
-            else:
-                core = cores.pair_right[m, r]
-            window_len, m_start, inner = core.length, core.m_start, {}
-        else:
-            placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters())
-            found = placer.place(l, r, interior_mask, length + 1)
-            assert found is not None, "winning window vanished on reconstruction"
-            window_len, m_start, inner = found
+        placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters()) if interior_mask else None
+        found = _window(tables.cores, placer, m, l, r, interior_mask, length + 1)
+        assert found is not None, "winning window vanished on reconstruction"
+        window_len, m_start, cover = found
+        inner = placer.interiors(cover, interior_mask) if placer else {}
         # each chain exists iff its anchor does; `sub` is the left chain's
         # share of the strings outside the window, the right chain has the rest
         left_mask = sub | _bit(l)

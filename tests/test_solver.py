@@ -8,6 +8,7 @@ from superstring import (
     solve,
     verify_solution,
 )
+from superstring.cli import GeneratorParams, generate_instance
 from superstring.oracle import OracleLimits
 from conftest import random_valid_instance
 
@@ -172,3 +173,15 @@ def test_length_invariant_under_mirroring():
         inst = random_valid_instance(seed, n_choices=(2, 3, 4, 5))
         mirrored = make_instance([s[::-1] for s in inst.strings], inst.k)
         assert solve(mirrored).length == solve(inst).length
+
+
+def test_counters_follow_the_anchored_shapes_exactly():
+    # equal lengths: nothing fits inside any m, so only the baseline and the
+    # anchored shapes run, one composition step each, and every anchored
+    # triple tries all 2^(n-3) chain splits of the strings outside it
+    for n in range(3, 8):
+        inst = generate_instance(GeneratorParams(n, 6, 6, 4), seed=n, k=2)
+        counters = solve(inst).counters
+        assert counters.composition == n**3 - n**2 + n
+        assert counters.glue_scan == n * (n - 1) * (n - 2) * 2 ** (n - 3)
+        assert counters.window_scan == 0
