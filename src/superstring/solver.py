@@ -312,7 +312,7 @@ class _Placer:
         return None
 
     def interiors(self, cover, interior_mask):
-        """{interior: offset in m} of the first placement of interior_mask under a window's cover."""
+        """{interior: offset in m} of interior_mask's first placement under a cover."""
         value, covered, cost, options, _, _ = cover
         order = _bits(interior_mask, len(options))
         return dict(_search(options, order, 0, value, covered, cost, self.k, self.counters))
@@ -523,7 +523,9 @@ def _assemble(instance, tables, best, baseline_j) -> tuple[str, list[int]]:
     if kind == _BASELINE:
         placed = _chain(instance, tables, full, baseline_j, rightmost=True)
     else:
-        placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters()) if interior_mask else None
+        placer = None
+        if interior_mask:
+            placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters())
         found = _window(tables.cores, placer, m, l, r, interior_mask, length + 1)
         assert found is not None, "winning window vanished on reconstruction"
         window_len, m_start, cover = found
