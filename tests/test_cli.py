@@ -181,7 +181,7 @@ def test_argparse_round_trip():
     assert config.strings == ["ab", "cd"]
     assert config.k == 2
     assert config.json_output and config.reconstruct
-    # the solver is serial; --threads is no longer an option
+    # there is no --threads option, so argparse rejects it
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--threads", "2"])
     assert exit_info.value.code == 2
