@@ -42,9 +42,10 @@ class Counters:
         # shape, so its bound is the product of its loop ranges
         # (anchor/interior-set choices, window cells, placement tree) and is
         # deliberately loose.  glue_scan counts the left/right chain splits
-        # tried for a triple shape, anchored or absorbed: one per submask of
-        # the strings outside (l, m, r, interiors).  Summed over the interior
-        # sets of one (m, l, r) that is at most 3^(n-3)
+        # tried for a triple shape, anchored or absorbed, whose window beat
+        # the incumbent minus the shape's glue lower bound: one per submask
+        # of the strings outside (l, m, r, interiors).  Summed over the
+        # interior sets of one (m, l, r) that is at most 3^(n-3), pruned or not
         return {
             "pair_build": n * n * (2 * c) ** 2,
             "core_scan": n ** 3 * (3 * c) ** 2,

@@ -34,6 +34,19 @@ reconstruction alike: the merge core when the interior set is empty, the
 placement engine otherwise.  Reconstruction has one path: each chain is
 laid out iff its anchor exists.
 
+Window first, glue second.  A triple's glue is a scan over every split of
+its outside strings (the Held-Karp subset tables read back per shape), so a
+triple shape first asks for a window shorter than the incumbent minus a
+lower bound on that glue: the shortest chain over the outside strings and
+both anchors (``chain_min``, one entry per subset), plus the anchors' own
+overlap, minus their lengths.  The left and right chains of any split,
+joined at that overlap, are one such chain, so the bound holds.  Only when
+a window comes back is the split scanned, and the shape is kept iff glue
+plus window beats the incumbent.  A window is the shortest one below the
+cutoff, earliest start first, whatever the cutoff, so the looser cutoff
+finds the window the exact one would have found and keeps exactly the same
+shapes.
+
 Absorbed shapes are searched by one placement engine per mistake string m
 (``_Placer``).  Every string short enough to fit strictly inside m is
 packed once, at each inner offset, into integers: character codes, a span
@@ -108,6 +121,7 @@ class _Tables:
     cores: CoreTable
     overlap: OverlapTable
     subsets: SubsetTable
+    chain_min: list[int]  # chain_min[mask]: min over j of dp_right[mask][j]
 
 
 def _submasks(mask: int):
@@ -360,6 +374,10 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
     equal-length candidates the first one tried wins: the least (kind, l, r)
     and, for one absorbed (kind, l, r), the largest interior mask.  The chain
     split of a triple is ``_min_glue``'s, the smallest among equal lengths.
+
+    Window first, glue second: a triple shape asks for its window against a
+    lower bound on its glue, and scans its chain splits only when a window
+    comes back.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -367,6 +385,8 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
     others = [e for e in range(n) if e != m]
     dp_right = tables.subsets.dp_right
     dp_left = tables.subsets.dp_left
+    chain_min = tables.chain_min
+    overlaps = tables.overlap.values
     best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
 
     # only strings strictly shorter than |m| - 1 can vanish inside m, so
@@ -379,7 +399,8 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
 
     # glue of one shape for the strings `outside` its anchors and interiors:
     # (candidate length minus window length, the left chain's share of
-    # outside), or None when the shape cannot place them
+    # outside), or None when the shape cannot place them; the triples give
+    # a lower bound first (split_bound) and the glue once a window survives
     def left_glue(l, r, outside):
         return dp_right[outside | 1 << l][l] - lengths[l], outside
 
@@ -390,6 +411,12 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
         glue, sub = _min_glue(dp_right, dp_left, outside, l, r, counters)
         return glue - lengths[l] - lengths[r], sub
 
+    # split_glue without its 2^|outside| scan, from below: the two chains of
+    # any split, joined at overlap(l, r), are one chain over outside | l | r
+    def split_bound(l, r, outside):
+        bound = chain_min[outside | 1 << l | 1 << r] + overlaps[l][r]
+        return bound - lengths[l] - lengths[r], None
+
     def no_glue(l, r, outside):
         return None if outside else (0, 0)
 
@@ -397,10 +424,10 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
     shapes = (
         [(_EDGE_LEFT, left_glue, l, -1) for l in others]
         + [(_EDGE_RIGHT, right_glue, -1, r) for r in others]
-        + [(_TRIPLE, split_glue, l, r) for l, r in pairs]
+        + [(_TRIPLE, split_bound, l, r) for l, r in pairs]
         + [(_EDGE_LEFT_ABS, left_glue, l, -1) for l in others]
         + [(_EDGE_RIGHT_ABS, right_glue, -1, r) for r in others]
-        + [(_TRIPLE_ABS, split_glue, l, r) for l, r in pairs]
+        + [(_TRIPLE_ABS, split_bound, l, r) for l, r in pairs]
         + [(_ENCLOSED, no_glue, -1, -1)]
     )
     for kind, glue_of, l, r in shapes:
@@ -411,11 +438,18 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
         else:
             interior_sets = (s for s in _submasks(around & fits) if s)
         for interior_mask in interior_sets:
-            glue = glue_of(l, r, around ^ interior_mask)
+            outside = around ^ interior_mask
+            glue = glue_of(l, r, outside)
             if glue is None:
                 continue
+            # the window is the shortest below the cutoff whatever the
+            # cutoff, so a bound in place of the glue finds the same one
             found = _window(tables.cores, placer, m, l, r, interior_mask, best[0] - glue[0])
-            if found is not None:  # below the cutoff, so strictly shorter than best
+            if found is None:
+                continue
+            if glue_of is split_bound:
+                glue = split_glue(l, r, outside)
+            if glue[0] + found[0] < best[0]:
                 best = (glue[0] + found[0], kind, m, l, r, interior_mask, glue[1])
 
     return best
@@ -426,7 +460,11 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     cores = build_core_table(instance, mismatch, counters)
     overlap = build_overlap_table(instance)
     subsets = build_subset_table(instance, overlap, counters)
-    return _Tables(mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets)
+    # members' entries are positive lengths, the rest None; the empty mask gets 0
+    chain_min = [min(filter(None, row), default=0) for row in subsets.dp_right]
+    return _Tables(
+        mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets, chain_min=chain_min
+    )
 
 
 def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .counters import Counters
 from .instance import Instance
-from .mismatches import MismatchTable
 
 INFINITY = float("inf")
 
@@ -50,23 +49,10 @@ def max_clean_overlap(left: str, right: str) -> int:
     return 0
 
 
-def _overlap_via_mismatch_lists(table: MismatchTable, lengths, w: int, v: int) -> int:
-    # An empty mismatch list for base v / slider w at shift t-1 certifies that
-    # w's length-t suffix overlays v's length-t prefix cleanly.
-    for t in range(min(lengths[w], lengths[v]) - 1, 0, -1):
-        if table.count(v, w, t - 1) == 0:
-            return t
-    return 0
-
-
-def build_overlap_table(instance: Instance, table: MismatchTable | None = None) -> OverlapTable:
+def build_overlap_table(instance: Instance) -> OverlapTable:
     """Maximal clean overlap for every ordered pair, |s_w| on the diagonal.
 
-    Overlaps are defined by direct suffix/prefix equality.  When a mismatch
-    table is supplied, the alignment-list route is evaluated as well and any
-    disagreement raises, as the two are different readings of one quantity.
-    The solver builds the table without one; the check is a test of the
-    mismatch tables, not a step every solve has to pay for.
+    Overlaps are read by direct suffix/prefix equality.
     """
     strings = instance.strings
     n = instance.n
@@ -77,14 +63,7 @@ def build_overlap_table(instance: Instance, table: MismatchTable | None = None) 
             if w == v:
                 values[w][v] = lengths[w]
                 continue
-            t = max_clean_overlap(strings[w], strings[v])
-            if table is not None:
-                alt = _overlap_via_mismatch_lists(table, lengths, w, v)
-                if alt != t:
-                    raise RuntimeError(
-                        f"overlap table routes disagree for pair ({w}, {v}): {t} vs {alt}"
-                    )
-            values[w][v] = t
+            values[w][v] = max_clean_overlap(strings[w], strings[v])
     return OverlapTable(values)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from superstring import (
@@ -9,7 +11,9 @@ from superstring import (
     verify_solution,
 )
 from superstring.cli import GeneratorParams, generate_instance
+from superstring.counters import Counters
 from superstring.oracle import OracleLimits
+from superstring.solver import _min_glue, _solve_tables, _submasks
 from conftest import random_valid_instance
 
 
@@ -177,11 +181,41 @@ def test_length_invariant_under_mirroring():
 
 def test_counters_follow_the_anchored_shapes_exactly():
     # equal lengths: nothing fits inside any m, so only the baseline and the
-    # anchored shapes run, one composition step each, and every anchored
-    # triple tries all 2^(n-3) chain splits of the strings outside it
+    # anchored shapes run, one composition step each; an anchored triple
+    # tries all 2^(n-3) chain splits of the strings outside it only when its
+    # core beats the incumbent minus the triple's glue lower bound, and the
+    # bound rejects at least one of the n(n-1)(n-2) triples
     for n in range(3, 8):
         inst = generate_instance(GeneratorParams(n, 6, 6, 4), seed=n, k=2)
         counters = solve(inst).counters
         assert counters.composition == n**3 - n**2 + n
-        assert counters.glue_scan == n * (n - 1) * (n - 2) * 2 ** (n - 3)
+        assert counters.glue_scan % 2 ** (n - 3) == 0
+        assert counters.glue_scan < n * (n - 1) * (n - 2) * 2 ** (n - 3)
         assert counters.window_scan == 0
+
+
+def test_split_glue_lower_bound_holds():
+    # joined at overlap(l, r), the two chains of any split are one chain
+    # over outside | l | r, so the split scan never beats the shortest one
+    rng = random.Random(20261019)
+    checked = tight = 0
+    for draw in range(144):
+        n = 3 + draw % 6
+        params = GeneratorParams(n, 2, 8, rng.randint(3, 4))
+        inst = generate_instance(params, rng.randrange(10**9), 0)
+        tables = _solve_tables(inst, Counters())
+        dp_right, dp_left = tables.subsets.dp_right, tables.subsets.dp_left
+        overlaps = tables.overlap.values
+        for l in range(n):
+            for r in range(n):
+                if l == r:
+                    continue
+                for outside in _submasks(((1 << n) - 1) ^ (1 << l) ^ (1 << r)):
+                    glue = _min_glue(dp_right, dp_left, outside, l, r, Counters())[0]
+                    bound = tables.chain_min[outside | 1 << l | 1 << r] + overlaps[l][r]
+                    assert glue >= bound, (inst.strings, l, r, outside)
+                    checked += 1
+                    tight += glue == bound
+    # the bound is worth having only if it is often exact
+    assert checked == 24 * sum(m * (m - 1) * 2 ** (m - 2) for m in range(3, 9))
+    assert tight * 5 >= checked, (tight, checked)

@@ -12,9 +12,31 @@ from superstring import (
 from conftest import random_valid_instance, substring_free
 
 
+def overlap_via_mismatch_lists(table, lengths, w: int, v: int) -> int:
+    # An empty mismatch list for base v / slider w at shift t-1 certifies that
+    # w's length-t suffix overlays v's length-t prefix cleanly.
+    for t in range(min(lengths[w], lengths[v]) - 1, 0, -1):
+        if table.count(v, w, t - 1) == 0:
+            return t
+    return 0
+
+
+def overlaps_via_mismatch_lists(inst) -> list[list[int]]:
+    """The overlap table read from the mismatch table: a second route to
+    what `build_overlap_table` computes by direct suffix/prefix equality."""
+    table = build_mismatch_table(inst)
+    lengths = [len(s) for s in inst.strings]
+    n = inst.n
+    return [
+        [lengths[w] if w == v else overlap_via_mismatch_lists(table, lengths, w, v) for v in range(n)]
+        for w in range(n)
+    ]
+
+
 def test_overlap_examples():
     inst = make_instance(["ab", "ba", "cd"], 0)
-    table = build_overlap_table(inst, build_mismatch_table(inst))
+    table = build_overlap_table(inst)
+    assert table.values == overlaps_via_mismatch_lists(inst)
     assert table.get(0, 1) == 1
     assert table.get(0, 2) == 0
     assert table.get(0, 0) == 2  # diagonal convention, never read by the DP
@@ -31,7 +53,8 @@ def test_overlap_strict_bound_on_valid_instances(strings):
     if not substring_free(strings):
         return
     inst = make_instance(strings, 0)
-    table = build_overlap_table(inst, build_mismatch_table(inst))
+    table = build_overlap_table(inst)
+    assert table.values == overlaps_via_mismatch_lists(inst)
     for w in range(inst.n):
         for v in range(inst.n):
             if w == v:
@@ -45,10 +68,8 @@ def test_overlap_strict_bound_on_valid_instances(strings):
 
 
 def test_overlap_routes_agree_on_seeded_instances():
-    # the mismatch-list route raises on any disagreement with direct equality
     for inst in seeded_instances(4300, 40, n_choices=(2, 3, 4, 5, 6), max_len=10):
-        checked = build_overlap_table(inst, build_mismatch_table(inst))
-        assert checked.values == build_overlap_table(inst).values
+        assert overlaps_via_mismatch_lists(inst) == build_overlap_table(inst).values
 
 
 def test_dp_examples():
