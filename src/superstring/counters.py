@@ -34,6 +34,9 @@ class Counters:
 
     @staticmethod
     def bounds(n: int, c: int) -> dict[str, int]:
+        # dp_right and dp_left count the terms of the subset recurrence, one
+        # per ordered pair of distinct members of each mask, read or skipped:
+        # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).
         # composition counts the n baseline candidates plus one per anchored
         # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n.
         # window_scan counts the absorbed-shape work: anchor windows a scan
@@ -49,8 +52,8 @@ class Counters:
         return {
             "pair_build": n * n * (2 * c) ** 2,
             "core_scan": n ** 3 * (3 * c) ** 2,
-            "dp_right": n * n * 2 ** n,
-            "dp_left": n * n * 2 ** n,
+            "dp_right": n * (n - 1) * 2 ** n // 4,
+            "dp_left": n * (n - 1) * 2 ** n // 4,
             "composition": n ** 3,
             "window_scan": n ** 4 * 3 ** n * (3 * c) ** 2 * c ** n,
             "glue_scan": n * (n - 1) * (n - 2) * 3 ** max(n - 3, 0),

@@ -121,7 +121,9 @@ class _Tables:
     cores: CoreTable
     overlap: OverlapTable
     subsets: SubsetTable
-    chain_min: list[int]  # chain_min[mask]: min over j of dp_right[mask][j]
+    # chain_min[mask]: min over j of dp_right[mask][j], the row minima the
+    # subset DP keeps as it fills dp_right (SubsetTable.right_min)
+    chain_min: list[int]
 
 
 def _submasks(mask: int):
@@ -460,10 +462,8 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     cores = build_core_table(instance, mismatch, counters)
     overlap = build_overlap_table(instance)
     subsets = build_subset_table(instance, overlap, counters)
-    # members' entries are positive lengths, the rest None; the empty mask gets 0
-    chain_min = [min(filter(None, row), default=0) for row in subsets.dp_right]
     return _Tables(
-        mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets, chain_min=chain_min
+        mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets, chain_min=subsets.right_min
     )
 
 

@@ -12,6 +12,16 @@ leftmost link.  It is not a separate mirror: it is the same recurrence run
 on the transposed overlap table, since prepending j to a chain that starts
 with p gains overlap(j, p), the transposed entry (p, j).  Masks are iterated
 in increasing order so every submask is ready when needed.
+
+The Held-Karp recurrence ``dp[mask][j] = |s_j| + min over p in rest of
+(dp[rest][p] - overlap(p, j))``, rest = mask - j, is evaluated from row
+minima.  Overlaps are never negative, so every term is at most its entry
+dp[rest][p]: the least entry of row rest, ``row_min[rest]``, is never below
+the true minimum, and no term of a predecessor with overlap 0 is below it.
+The minimum is therefore the smaller of ``row_min[rest]`` and the terms of
+the predecessors with a positive overlap, and only those are read.
+``row_min`` of ``dp_right`` is the shortest chain over each mask, whichever
+string ends it.
 """
 
 from __future__ import annotations
@@ -21,9 +31,6 @@ from dataclasses import dataclass
 
 from .counters import Counters
 from .instance import Instance
-
-INFINITY = float("inf")
-
 
 @dataclass
 class OverlapTable:
@@ -35,10 +42,15 @@ class OverlapTable:
 
 @dataclass
 class SubsetTable:
-    """Dense 2^n x n grids; entries for j outside mask stay None."""
+    """Dense 2^n x n grids; entries for j outside mask stay None.
+
+    ``right_min[mask]`` is the least entry of row mask of dp_right (0 for the
+    empty mask): the shortest chain over mask, whichever string ends it.
+    """
 
     dp_right: list[list[int | None]]
     dp_left: list[list[int | None]]
+    right_min: list[int]
 
 
 def max_clean_overlap(left: str, right: str) -> int:
@@ -69,36 +81,51 @@ def build_overlap_table(instance: Instance) -> OverlapTable:
 
 def _chain_dp(
     instance: Instance, overlaps: Sequence[Sequence[int]]
-) -> tuple[list[list[int | None]], int]:
-    """``dp[mask][j]``: min over p of ``dp[mask - j][p] + |s_j| - overlaps[p][j]``, with its work."""
+) -> tuple[list[list[int | None]], list[int], int]:
+    """``dp[mask][j]``: min over p of ``dp[mask - j][p] + |s_j| - overlaps[p][j]``.
+
+    Walks only the members j of each mask.  Each entry starts from the
+    minimum of row ``rest = mask - j`` and reads only the predecessors of j
+    with a positive overlap, skipping those outside rest (their entry is
+    None); the module docstring says why that is exact.  The empty row's
+    minimum is 0, so a singleton gets |s_j|.  Returns the table, its row
+    minima and the recurrence's term count, one per (mask, j, p in rest)
+    whether read or skipped: the sum of c(c-1) over masks of c members.
+    """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
-    dp: list[list[int | None]] = [[None] * n for _ in range(1 << n)]
-    work = 0
+    steps = {}  # bit of j -> (j, |s_j|, predecessors p of j with their overlap, if positive)
     for j in range(n):
-        dp[1 << j][j] = lengths[j]
+        gains = [(p, overlaps[p][j]) for p in range(n) if p != j and overlaps[p][j] > 0]
+        steps[1 << j] = (j, lengths[j], gains)
+    dp: list[list[int | None]] = [[None] * n for _ in range(1 << n)]
+    row_min = [0] * (1 << n)
+    work = 0
     for mask in range(1, 1 << n):
-        for j in range(n):
-            if not mask & (1 << j) or mask == 1 << j:
-                continue
-            rest = mask ^ (1 << j)
-            best = INFINITY
-            for p in range(n):
-                if not rest & (1 << p):
-                    continue
-                work += 1
-                value = dp[rest][p] + lengths[j] - overlaps[p][j]
-                if value < best:
-                    best = value
-            dp[mask][j] = best
-    return dp, work
+        row = dp[mask]
+        bits = mask
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            j, length, gains = steps[bit]
+            prev = dp[mask ^ bit]
+            best = row_min[mask ^ bit]
+            for p, gain in gains:
+                value = prev[p]
+                if value is not None and value - gain < best:
+                    best = value - gain
+            row[j] = best + length
+        row_min[mask] = min(filter(None, row))
+        members = mask.bit_count()
+        work += members * (members - 1)
+    return dp, row_min, work
 
 
 def build_dp_right(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> list[list[int | None]]:
     """Fill dp_right for all non-empty masks and all members."""
-    dp, work = _chain_dp(instance, overlap.values)
+    dp, _, work = _chain_dp(instance, overlap.values)
     if counters is not None:
         counters.dp_right += work
     return dp
@@ -108,7 +135,7 @@ def build_dp_left(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> list[list[int | None]]:
     """Fill dp_left: the dp_right recurrence on the transposed overlap table."""
-    dp, work = _chain_dp(instance, list(zip(*overlap.values)))
+    dp, _, work = _chain_dp(instance, list(zip(*overlap.values)))
     if counters is not None:
         counters.dp_left += work
     return dp
@@ -117,7 +144,11 @@ def build_dp_left(
 def build_subset_table(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> SubsetTable:
+    dp_right, right_min, work = _chain_dp(instance, overlap.values)
+    if counters is not None:
+        counters.dp_right += work
     return SubsetTable(
-        dp_right=build_dp_right(instance, overlap, counters),
+        dp_right=dp_right,
         dp_left=build_dp_left(instance, overlap, counters),
+        right_min=right_min,
     )

@@ -1,14 +1,18 @@
 from hypothesis import given, settings, strategies as st
 
 from superstring import (
+    Counters,
+    InstanceError,
     brute_force_scs,
     build_dp_left,
     build_dp_right,
     build_mismatch_table,
     build_overlap_table,
+    build_subset_table,
     make_instance,
     max_clean_overlap,
 )
+from superstring.cli import GeneratorParams, generate_instance
 from conftest import random_valid_instance, substring_free
 
 
@@ -31,6 +35,34 @@ def overlaps_via_mismatch_lists(inst) -> list[list[int]]:
         [lengths[w] if w == v else overlap_via_mismatch_lists(table, lengths, w, v) for v in range(n)]
         for w in range(n)
     ]
+
+
+def plain_chain_dp(lengths, overlaps) -> list[list[int | None]]:
+    """The subset recurrence read over every predecessor in rest: the table
+    the DP builders compute from row minima and positive overlaps alone."""
+    n = len(lengths)
+    dp: list[list[int | None]] = [[None] * n for _ in range(1 << n)]
+    for mask in range(1, 1 << n):
+        for j in range(n):
+            if not mask >> j & 1:
+                continue
+            rest = mask ^ (1 << j)
+            if not rest:
+                dp[mask][j] = lengths[j]
+                continue
+            dp[mask][j] = lengths[j] + min(
+                dp[rest][p] - overlaps[p][j] for p in range(n) if rest >> p & 1
+            )
+    return dp
+
+
+def generated(params, seed, k):
+    """The first feasible `generate_instance` draw at or after seed."""
+    while True:
+        try:
+            return generate_instance(params, seed, k)
+        except InstanceError:
+            seed += 1
 
 
 def test_overlap_examples():
@@ -157,3 +189,38 @@ def test_dp_bounds(strings):
         for j in members:
             value = dp_right[mask][j]
             assert max(lengths[i] for i in members) <= value <= sum(lengths[i] for i in members)
+
+
+def test_row_minimum_recurrence_equals_the_plain_one():
+    # binary mixed lengths: most ordered pairs overlap; the chains shape
+    # (length 5, alphabet 4): most do not, so the row minimum decides often
+    zero = positive = 0
+    for n in range(6, 11):
+        for params in (GeneratorParams(n, 3, 9, 2), GeneratorParams(n, 5, 5, 4)):
+            for seed in (4600 + 10 * n, 4605 + 10 * n):
+                inst = generated(params, seed, n % 3)
+                overlap = build_overlap_table(inst)
+                lengths = [len(s) for s in inst.strings]
+                table = build_subset_table(inst, overlap)
+                assert table.dp_right == build_dp_right(inst, overlap)
+                assert table.dp_left == build_dp_left(inst, overlap)
+                assert table.dp_right == plain_chain_dp(lengths, overlap.values)
+                assert table.dp_left == plain_chain_dp(lengths, list(zip(*overlap.values)))
+                for mask, row in enumerate(table.dp_right):
+                    assert table.right_min[mask] == min(filter(None, row), default=0)
+                gains = [overlap.get(p, j) for p in range(n) for j in range(n) if p != j]
+                zero += gains.count(0)
+                positive += len(gains) - gains.count(0)
+    # both terms of the recurrence are exercised, each on a good share of pairs
+    assert min(zero, positive) > (zero + positive) / 4
+
+
+def test_dp_counters_equal_their_bound():
+    # one term per ordered pair of distinct members of each mask: n(n-1)2^(n-2)
+    for n in range(1, 11):
+        inst = generated(GeneratorParams(n, 5, 5, 4), 4700 + n, 0)
+        counters = Counters()
+        build_subset_table(inst, build_overlap_table(inst), counters)
+        bounds = Counters.bounds(n, 5)
+        assert counters.dp_right == counters.dp_left == bounds["dp_right"] == bounds["dp_left"]
+        assert bounds["dp_right"] == sum(c * (c - 1) for c in (bin(m).count("1") for m in range(1 << n)))
