@@ -122,7 +122,7 @@ class _Tables:
     overlap: OverlapTable
     subsets: SubsetTable
     # chain_min[mask]: min over j of dp_right[mask][j], the row minima the
-    # subset DP keeps as it fills dp_right (SubsetTable.right_min)
+    # subset DP keeps as it fills its tables (SubsetTable.row_min)
     chain_min: list[int]
 
 
@@ -463,7 +463,7 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     overlap = build_overlap_table(instance)
     subsets = build_subset_table(instance, overlap, counters)
     return _Tables(
-        mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets, chain_min=subsets.right_min
+        mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets, chain_min=subsets.row_min
     )
 
 

@@ -19,9 +19,9 @@ minima.  Overlaps are never negative, so every term is at most its entry
 dp[rest][p]: the least entry of row rest, ``row_min[rest]``, is never below
 the true minimum, and no term of a predecessor with overlap 0 is below it.
 The minimum is therefore the smaller of ``row_min[rest]`` and the terms of
-the predecessors with a positive overlap, and only those are read.
-``row_min`` of ``dp_right`` is the shortest chain over each mask, whichever
-string ends it.
+the predecessors with a positive overlap, and only those are read.  A row's
+minimum is the shortest chain over its mask, whichever end is fixed, so
+both tables share one list of row minima.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from .counters import Counters
 from .instance import Instance
+
 
 @dataclass
 class OverlapTable:
@@ -44,13 +45,13 @@ class OverlapTable:
 class SubsetTable:
     """Dense 2^n x n grids; entries for j outside mask stay None.
 
-    ``right_min[mask]`` is the least entry of row mask of dp_right (0 for the
-    empty mask): the shortest chain over mask, whichever string ends it.
+    ``row_min[mask]`` is the least entry of row mask, the same in both
+    tables (0 for the empty mask): the shortest chain over mask.
     """
 
     dp_right: list[list[int | None]]
     dp_left: list[list[int | None]]
-    right_min: list[int]
+    row_min: list[int]
 
 
 def max_clean_overlap(left: str, right: str) -> int:
@@ -80,17 +81,20 @@ def build_overlap_table(instance: Instance) -> OverlapTable:
 
 
 def _chain_dp(
-    instance: Instance, overlaps: Sequence[Sequence[int]]
-) -> tuple[list[list[int | None]], list[int], int]:
+    instance: Instance, overlaps: Sequence[Sequence[int]], row_min: list[int]
+) -> tuple[list[list[int | None]], int]:
     """``dp[mask][j]``: min over p of ``dp[mask - j][p] + |s_j| - overlaps[p][j]``.
 
     Walks only the members j of each mask.  Each entry starts from the
     minimum of row ``rest = mask - j`` and reads only the predecessors of j
     with a positive overlap, skipping those outside rest (their entry is
-    None); the module docstring says why that is exact.  The empty row's
-    minimum is 0, so a singleton gets |s_j|.  Returns the table, its row
-    minima and the recurrence's term count, one per (mask, j, p in rest)
-    whether read or skipped: the sum of c(c-1) over masks of c members.
+    None); the module docstring says why that is exact.  ``row_min`` has
+    2^n entries and receives each row's minimum as the row is filled; its
+    empty-mask entry stays 0, so a singleton gets |s_j|.  As the minima are
+    the same in both tables, dp_left may be filled against the list dp_right
+    filled, and rewrites it with equal values.  Returns the table and the
+    recurrence's term count, one per (mask, j, p in rest) whether read or
+    skipped: the sum of c(c-1) over masks of c members.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -99,7 +103,6 @@ def _chain_dp(
         gains = [(p, overlaps[p][j]) for p in range(n) if p != j and overlaps[p][j] > 0]
         steps[1 << j] = (j, lengths[j], gains)
     dp: list[list[int | None]] = [[None] * n for _ in range(1 << n)]
-    row_min = [0] * (1 << n)
     work = 0
     for mask in range(1, 1 << n):
         row = dp[mask]
@@ -118,14 +121,14 @@ def _chain_dp(
         row_min[mask] = min(filter(None, row))
         members = mask.bit_count()
         work += members * (members - 1)
-    return dp, row_min, work
+    return dp, work
 
 
 def build_dp_right(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> list[list[int | None]]:
     """Fill dp_right for all non-empty masks and all members."""
-    dp, _, work = _chain_dp(instance, overlap.values)
+    dp, work = _chain_dp(instance, overlap.values, [0] * (1 << instance.n))
     if counters is not None:
         counters.dp_right += work
     return dp
@@ -135,7 +138,7 @@ def build_dp_left(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> list[list[int | None]]:
     """Fill dp_left: the dp_right recurrence on the transposed overlap table."""
-    dp, _, work = _chain_dp(instance, list(zip(*overlap.values)))
+    dp, work = _chain_dp(instance, list(zip(*overlap.values)), [0] * (1 << instance.n))
     if counters is not None:
         counters.dp_left += work
     return dp
@@ -144,11 +147,11 @@ def build_dp_left(
 def build_subset_table(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> SubsetTable:
-    dp_right, right_min, work = _chain_dp(instance, overlap.values)
+    """Both tables, filled in turn against one shared list of row minima."""
+    row_min = [0] * (1 << instance.n)
+    dp_right, right_work = _chain_dp(instance, overlap.values, row_min)
+    dp_left, left_work = _chain_dp(instance, list(zip(*overlap.values)), row_min)
     if counters is not None:
-        counters.dp_right += work
-    return SubsetTable(
-        dp_right=dp_right,
-        dp_left=build_dp_left(instance, overlap, counters),
-        right_min=right_min,
-    )
+        counters.dp_right += right_work
+        counters.dp_left += left_work
+    return SubsetTable(dp_right=dp_right, dp_left=dp_left, row_min=row_min)

@@ -206,8 +206,9 @@ def test_row_minimum_recurrence_equals_the_plain_one():
                 assert table.dp_left == build_dp_left(inst, overlap)
                 assert table.dp_right == plain_chain_dp(lengths, overlap.values)
                 assert table.dp_left == plain_chain_dp(lengths, list(zip(*overlap.values)))
-                for mask, row in enumerate(table.dp_right):
-                    assert table.right_min[mask] == min(filter(None, row), default=0)
+                for mask in range(1 << n):
+                    for dp in (table.dp_right, table.dp_left):
+                        assert table.row_min[mask] == min(filter(None, dp[mask]), default=0)
                 gains = [overlap.get(p, j) for p in range(n) for j in range(n) if p != j]
                 zero += gains.count(0)
                 positive += len(gains) - gains.count(0)
