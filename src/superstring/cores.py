@@ -8,38 +8,44 @@ of l and r.  Window coordinates: l occupies [0, |l|-1], r occupies
 [length-|r|, length-1], m occupies [start, start+|m|-1] with
 0 <= start <= length-|m|.
 
-Counting m's disagreements splits into four region cases:
+A cell's cost is the number of window positions covered by m where m
+disagrees with an anchor; positions covered by neither anchor are free.  The
+builders split the window lengths into two regimes:
 
-  1. m ends inside l                -> count against l only
-  2. m starts inside r              -> count against r only
-  3. l and r do not overlap         -> count both sides independently
-  4. l and r overlap and m crosses  -> count both sides, then subtract the
-     positions inside the l/r overlap, which were counted twice (r agrees
-     with l there, so each such window position holds one character)
-
-The builders split the window lengths into two regimes:
-
-  * Disjoint anchors (length >= |l|+|r|, cases 1-3).  The two sides add up,
-    so a cell is two list reads: per-start counts of m against the left
-    anchor and against the right anchor (`_edge_counts`), built once per
-    string pair from `MismatchTable.counts`.
   * Overlapping anchors (length < |l|+|r|), only at lengths whose overlay is
-    clean.  A cell goes through `placement_mismatches`, whose case 4 needs
-    the duplicate correction from `MismatchTable.count_up_to`.
+    clean.  l and r then spell every window position, so a cell's cost is
+    the Hamming distance between m and that window (`overlaid_window`) at
+    its start, one C-level pass over the characters.  Starts where m's
+    disagreements with l alone, read from `MismatchTable.counts`, already
+    exceed k are passed over without counting.
+  * Disjoint anchors (length >= |l|+|r|).  The two sides add up, so a cell's
+    cost is m's count against l at its start plus its count against r at
+    its distance d from the window's end, both read from the count lists of
+    `MismatchTable.counts`.  `_first_fit` searches starts instead of cells:
+    for each start the least fitting d is one bisect in the sorted list of
+    right-anchor shifts within the remaining budget
+    (`MismatchTable.shifts_within`, built once per pair and budget and kept
+    by the table, so the triple and pair builders share it).
 
 The *pair cores* are the degenerate variants used when the mistake string is
 the overall first or last string: only one anchor, at the left (pair_left)
-or right (pair_right) edge, so every cell is in the first regime.
+or right (pair_right) edge, so every cell is in the disjoint regime.
 
-Per entry the builder keeps the first feasible (length, start) found while
-scanning lengths, then starts, in ascending order; that placement is the
-reconstruction witness and makes outputs reproducible.  The `core_scan`
-counter counts those cells up to and including the winner.
+Per entry the builder returns the first feasible (length, start) in
+ascending (length, start) order; that placement is the reconstruction
+witness and makes outputs reproducible.  The `core_scan` counter counts the
+cells such a scan visits up to and including the winner, summed from the
+winner's position; the builders themselves look at far fewer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
+from math import inf
+from operator import ne
 from typing import NamedTuple
 
 from .counters import Counters
@@ -76,121 +82,90 @@ def overlay_is_clean(left: str, right: str, length: int) -> bool:
     return all(left[offset + t] == right[t] for t in range(overlap))
 
 
-def classify_placement(len_l: int, len_m: int, len_r: int, length: int, start: int) -> int:
-    """Region case (1-4) for m placed at `start` in a window of `length`."""
-    end_m = start + len_m - 1
-    if end_m < len_l:
-        return 1
-    if start >= length - len_r:
-        return 2
-    if length >= len_l + len_r:
-        return 3
-    return 4
+def overlaid_window(left: str, right: str, length: int) -> str:
+    """The characters of a window of `length` whose anchors overlap cleanly.
 
-
-def placement_mismatches(
-    table: MismatchTable,
-    l: int,
-    m: int,
-    r: int,
-    len_l: int,
-    len_m: int,
-    len_r: int,
-    length: int,
-    start: int,
-) -> int:
-    """Mismatches of m against the union of l and r for one placement.
-
-    Each window position covered by m counts at most once; positions covered
-    by neither anchor are free.
+    `left` and `right` overlap (length < |left|+|right|) and agree where they
+    do, so together they spell every window position: `left`, then the part
+    of `right` past the overlap.
     """
-    end_m = start + len_m - 1
-    case = classify_placement(len_l, len_m, len_r, length, start)
-    if case == 1:
-        return table.count(l, m, end_m)
-    end_in_r = end_m - (length - len_r)
-    if case == 2:
-        return table.count(r, m, end_in_r)
-    if case == 3:
-        mistakes = 0
-        if start < len_l:
-            mistakes += table.count(l, m, end_m)
-        if end_in_r >= 0:
-            mistakes += table.count(r, m, end_in_r)
-        return mistakes
-    # case 4: l and r overlap and m touches both; mismatches inside the l/r
-    # overlap appear in both lists, so drop the duplicates found on the r side
-    mistakes = table.count(l, m, end_m) + table.count(r, m, end_in_r)
-    overlap = len_l + len_r - length
-    return mistakes - table.count_up_to(r, m, end_in_r, overlap - 1)
-
-
-def _edge_counts(
-    table: MismatchTable, lengths: list[int]
-) -> tuple[dict[tuple[int, int], list[int]], dict[tuple[int, int], list[int]]]:
-    """Per-start mismatch counts of every string against every anchor.
-
-    left[a, m][s] counts m starting at s against anchor a at the window's
-    left edge; right[a, m][d] counts m starting d positions before the
-    window's end against anchor a at its right edge.  Both are zero-padded
-    (m clear of the anchor) so that every index up to the longest window,
-    |l|+|m|+|r| <= 3 * longest string, is valid.
-    """
-    width = 3 * max(lengths) + 1
-    left: dict[tuple[int, int], list[int]] = {}
-    right: dict[tuple[int, int], list[int]] = {}
-    for a, len_a in enumerate(lengths):
-        for m, len_m in enumerate(lengths):
-            if m == a:
-                continue
-            # shift s+|m|-1 puts m's last character under the left anchor;
-            # shift |m|+|a|-1-d does the same under the right anchor
-            counts = table.counts(a, m)
-            left[a, m] = counts[len_m - 1 :] + [0] * (width - len_a - 1)
-            counts.reverse()
-            right[a, m] = counts + [0] * (width - len_a - len_m)
-    return left, right
-
-
-def _first_fit(
-    left: list[int], right: list[int], len_m: int, lengths: range, k: int
-) -> tuple[CorePlacement | None, int]:
-    """First (length, start) with left[start] + right[length - start] <= k.
-
-    Valid wherever the anchors' mismatches add up, i.e. where they do not
-    share window positions.  Also returns the number of cells visited: every
-    start of each missed length, plus the winner and the starts before it.
-    """
-    work = 0
-    for length in lengths:
-        for start in range(length - len_m + 1):
-            if left[start] + right[length - start] <= k:
-                return CorePlacement(length, start), work + start + 1
-        work += max(0, length - len_m + 1)
-    return None, work
+    return left + right[len(left) + len(right) - length :]
 
 
 def _first_overlapping_fit(
-    table: MismatchTable,
-    l: int,
-    m: int,
-    r: int,
-    lengths: list[int],
-    clean: list[int],
-    k: int,
+    left: str, middle: str, right: str, clean: list[int], bound: list[int], k: int
 ) -> tuple[CorePlacement | None, int]:
-    """`_first_fit` for window lengths where l and r overlap cleanly."""
-    len_l, len_m, len_r = lengths[l], lengths[m], lengths[r]
+    """First (length, start) within budget over the clean overlapping lengths.
+
+    Every position is an anchor's, so a cell's cost is the Hamming distance
+    between m and the window at its start.  bound[start] counts m against
+    `left` alone, which is part of that distance, so a start it puts over
+    budget is not counted.  Also returns the number of cells visited, the
+    winner included.
+    """
     work = 0
     for length in clean:
-        for start in range(length - len_m + 1):
-            work += 1
-            mistakes = placement_mismatches(
-                table, l, m, r, len_l, len_m, len_r, length, start
-            )
-            if mistakes <= k:
-                return CorePlacement(length, start), work
+        window = overlaid_window(left, right, length)
+        for start in range(length - len(middle) + 1):
+            if start < len(bound) and bound[start] > k:
+                continue
+            if sum(map(ne, middle, window[start:])) <= k:
+                return CorePlacement(length, start), work + start + 1
+        work += max(0, length - len(middle) + 1)
     return None, work
+
+
+def _first_fit(
+    left: list[int],
+    right: list[int],
+    within: Callable[[int], Sequence[int]],
+    len_m: int,
+    lo: int,
+    k: int,
+) -> tuple[CorePlacement, int]:
+    """Least (length, start) with length >= lo whose two sides cost at most k.
+
+    Valid where the anchors share no window position, so their mismatches
+    add up.  left[s] counts m starting at s against the left anchor, zero
+    past the list's end.  m starting d positions before the window's end
+    sits at shift t = |m|+|r|-1-d across the right anchor: right[t] counts
+    it, `within(b)` lists ascending the shifts with at most b mismatches,
+    and at every d >= |m|+|r| m is clear of the anchor (an absent anchor
+    has an empty `right`).
+
+    The search runs over starts: for each start s the least d >= max(|m|,
+    lo - s) that the remaining budget allows is that d itself or one bisect
+    away, so (s + d, s) is that start's best cell.  No start beats max(lo,
+    s + |m|), and past both the left anchor and lo - |m| every start finds
+    the same d, which ends the search.  The second value is the number of
+    cells a scan in ascending (length, start) order would visit up to and
+    including the winner, summed in closed form: every start of each
+    shorter length, then the winner's.
+    """
+    # conditional expressions in place of max(): this loop is hot on short strings
+    top = (len(right) if len(right) > len_m else len_m) - 1  # the shift of d = |m|
+    n_left = len(left)
+    best_len, best_start = inf, 0
+    for s in range((n_left if n_left > lo - len_m else lo - len_m) + 1):
+        if best_len <= lo or best_len <= s + len_m:
+            break
+        budget = k - left[s] if s < n_left else k
+        if budget < 0:
+            continue
+        floor = lo - s if lo - s > len_m else len_m
+        shift = top - floor
+        if shift < 0 or right[shift] <= budget:
+            d = floor
+        else:
+            shifts = within(budget)
+            i = bisect_right(shifts, shift)
+            d = top - shifts[i - 1] if i else top + 1
+        if s + d < best_len:
+            best_len, best_start = s + d, s
+    first = (lo if lo > len_m else len_m) - len_m + 1  # cells at the first length with any start
+    last = best_len - len_m  # cells at the length before the winner's
+    missed = (first + last) * (last - first + 1) // 2 if last >= first else 0
+    return CorePlacement(best_len, best_start), missed + best_start + 1
 
 
 def build_triple_cores(
@@ -201,35 +176,41 @@ def build_triple_cores(
     Always succeeds: the window that concatenates l, m, r disjointly is
     feasible with zero mismatches, so every entry is finite.
     """
+    strings = instance.strings
     n = instance.n
     k = instance.k
-    lengths = [len(s) for s in instance.strings]
-    left, right = _edge_counts(table, lengths)
+    lengths = [len(s) for s in strings]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    counts = {pair: table.counts(*pair) for pair in pairs}
+    # m starting at s has its last character at shift s+|m|-1 of (l, m)
+    left = {(l, m): counts[l, m][lengths[m] - 1 :] for l, m in pairs}
+    # the window lengths below |l|+|r| whose anchor overlay is conflict-free
+    clean = {
+        (l, r): [
+            length
+            for length in range(max(lengths[l], lengths[r]), lengths[l] + lengths[r])
+            if counts[l, r][length - 1] == 0
+        ]
+        for l, r in pairs
+    }
     result: dict[tuple[int, int, int], CorePlacement] = {}
     work = 0
-    for l in range(n):
-        len_l = lengths[l]
-        for r in range(n):
-            if r == l:
+    for r, m in pairs:
+        len_r, len_m = lengths[r], lengths[m]
+        right, within = counts[r, m], partial(table.shifts_within, r, m)
+        for l in range(n):
+            if l == m or l == r:
                 continue
-            len_r = lengths[r]
-            overlay = table.counts(l, r)
-            clean = [
-                length
-                for length in range(max(len_l, len_r), len_l + len_r)
-                if overlay[length - 1] == 0
-            ]
-            for m in range(n):
-                if m == l or m == r:
-                    continue
-                placement, cells = _first_overlapping_fit(table, l, m, r, lengths, clean, k)
+            placement = None
+            overlaid = clean[l, r]
+            if overlaid and overlaid[-1] >= len_m:
+                fit = _first_overlapping_fit(strings[l], strings[m], strings[r], overlaid, left[l, m], k)
+                placement, cells = fit
                 work += cells
-                if placement is None:
-                    disjoint = range(len_l + len_r, len_l + len_r + lengths[m] + 1)
-                    placement, cells = _first_fit(left[l, m], right[r, m], lengths[m], disjoint, k)
-                    work += cells
-                assert placement is not None, "disjoint concatenation is always feasible"
-                result[l, m, r] = placement
+            if placement is None:
+                placement, cells = _first_fit(left[l, m], right, within, len_m, lengths[l] + len_r, k)
+                work += cells
+            result[l, m, r] = placement
     if counters is not None:
         counters.core_scan += work
     return result
@@ -247,9 +228,6 @@ def build_pair_cores(
     n = instance.n
     k = instance.k
     lengths = [len(s) for s in instance.strings]
-    left, right = _edge_counts(table, lengths)
-    # the absent anchor contributes no mismatches anywhere
-    free = [0] * (3 * max(lengths) + 1)
     pair_left: dict[tuple[int, int], CorePlacement] = {}
     pair_right: dict[tuple[int, int], CorePlacement] = {}
     work = 0
@@ -257,19 +235,18 @@ def build_pair_cores(
         for m in range(n):
             if m == l:
                 continue
-            span = range(max(lengths[l], lengths[m]), lengths[l] + lengths[m] + 1)
-            placement, cells = _first_fit(left[l, m], free, lengths[m], span, k)
-            assert placement is not None
-            pair_left[l, m] = placement
+            left = table.counts(l, m)[lengths[m] - 1 :]
+            lo = max(lengths[l], lengths[m])
+            # no right anchor: m is clear of it at every d >= |m|, so `within` is never asked
+            pair_left[l, m], cells = _first_fit(left, [], tuple, lengths[m], lo, k)
             work += cells
     for m in range(n):
         for r in range(n):
             if r == m:
                 continue
-            span = range(max(lengths[m], lengths[r]), lengths[m] + lengths[r] + 1)
-            placement, cells = _first_fit(free, right[r, m], lengths[m], span, k)
-            assert placement is not None
-            pair_right[m, r] = placement
+            within = partial(table.shifts_within, r, m)
+            lo = max(lengths[m], lengths[r])
+            pair_right[m, r], cells = _first_fit([], table.counts(r, m), within, lengths[m], lo, k)
             work += cells
     if counters is not None:
         counters.core_scan += work

@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from superstring import Counters, make_instance, build_mismatch_table
 from superstring.cli import GeneratorParams, generate_instance
-from superstring.cores import (
-    build_pair_cores,
-    build_triple_cores,
-    classify_placement,
-    overlay_is_clean,
-    placement_mismatches,
-)
+from superstring.cores import build_pair_cores, build_triple_cores, overlaid_window, overlay_is_clean
 from conftest import random_valid_instance, window_min_length, window_placement
 
 
@@ -25,6 +19,57 @@ def triple_table(strings, k):
 def pair_tables(strings, k):
     inst = make_instance(strings, k)
     return build_pair_cores(inst, build_mismatch_table(inst))
+
+
+# The four-case placement count, a second route to a core cell's cost read
+# from the mismatch table alone: the reference for the builders' count from
+# the characters.  Counting m's disagreements splits into four region cases:
+#
+#   1. m ends inside l                -> count against l only
+#   2. m starts inside r              -> count against r only
+#   3. l and r do not overlap         -> count both sides independently
+#   4. l and r overlap and m crosses  -> count both sides, then subtract the
+#      positions inside the l/r overlap, which were counted twice (r agrees
+#      with l there, so each such window position holds one character)
+
+
+def classify_placement(len_l, len_m, len_r, length, start):
+    """Region case (1-4) for m placed at `start` in a window of `length`."""
+    end_m = start + len_m - 1
+    if end_m < len_l:
+        return 1
+    if start >= length - len_r:
+        return 2
+    if length >= len_l + len_r:
+        return 3
+    return 4
+
+
+def placement_mismatches(table, l, m, r, len_l, len_m, len_r, length, start):
+    """Mismatches of m against the union of l and r for one placement.
+
+    Each window position covered by m counts at most once; positions covered
+    by neither anchor are free.
+    """
+    end_m = start + len_m - 1
+    case = classify_placement(len_l, len_m, len_r, length, start)
+    if case == 1:
+        return table.count(l, m, end_m)
+    end_in_r = end_m - (length - len_r)
+    if case == 2:
+        return table.count(r, m, end_in_r)
+    if case == 3:
+        mistakes = 0
+        if start < len_l:
+            mistakes += table.count(l, m, end_m)
+        if end_in_r >= 0:
+            mistakes += table.count(r, m, end_in_r)
+        return mistakes
+    # case 4: mismatches inside the l/r overlap appear in both counts, so
+    # drop the duplicates found on the r side
+    mistakes = table.count(l, m, end_m) + table.count(r, m, end_in_r)
+    overlap = len_l + len_r - length
+    return mistakes - table.count_up_to(r, m, end_in_r, overlap - 1)
 
 
 # expected values below were derived with window_min_length, the in-test
