@@ -34,6 +34,10 @@ class Counters:
 
     @staticmethod
     def bounds(n: int, c: int) -> dict[str, int]:
+        # pair_build counts one comparison per slider character per shift of
+        # every ordered pair, sum over i != j of (|s_i| + |s_j|) * |s_j|,
+        # which is at most 2c * c per pair and exactly that when all
+        # strings have length c.
         # dp_right and dp_left count the terms of the subset recurrence, one
         # per ordered pair of distinct members of each mask, read or skipped:
         # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).
@@ -50,7 +54,7 @@ class Counters:
         # of the strings outside (l, m, r, interiors).  Summed over the
         # interior sets of one (m, l, r) that is at most 3^(n-3), pruned or not
         return {
-            "pair_build": n * n * (2 * c) ** 2,
+            "pair_build": 2 * n * (n - 1) * c * c,
             "core_scan": n ** 3 * (3 * c) ** 2,
             "dp_right": n * (n - 1) * 2 ** n // 4,
             "dp_left": n * (n - 1) * 2 ** n // 4,

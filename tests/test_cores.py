@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import ne
 
 import pytest
 
@@ -225,11 +226,11 @@ def test_placement_mismatches_counts_union(strings, k):
             assert got == direct
 
 
-def equal_length_instance(seed):
+def equal_length_instance(seed, sizes=(8, 16), counts=(3, 5)):
     # the shape of the benchmark's table-bound workload, scaled down
     rng = random.Random(seed)
-    size = rng.randint(8, 16)
-    params = GeneratorParams(count=rng.randint(3, 5), min_len=size, max_len=size, alphabet=4)
+    size = rng.randint(*sizes)
+    params = GeneratorParams(count=rng.randint(*counts), min_len=size, max_len=size, alphabet=4)
     return generate_instance(params, rng.randrange(2**31), rng.randint(0, 4))
 
 
@@ -238,10 +239,31 @@ def binary_mixed_instance(seed):
     return random_valid_instance(seed, n_choices=(3, 4, 5), max_len=8, alphabets=(2,))
 
 
+def long_middle_instance(seed):
+    # one string longer than any two others together: as the mistake string
+    # it has no start in the window lengths below its own length
+    rng = random.Random(seed)
+    strings = ["".join(rng.choice("abc") for _ in range(rng.randint(9, 13)))]
+    count = rng.randint(3, 5)
+    while len(strings) < count:
+        candidate = "".join(rng.choice("abc") for _ in range(rng.randint(2, 4)))
+        if not any(candidate in s or s in candidate for s in strings):
+            strings.append(candidate)
+    return make_instance(strings, rng.randint(0, 3))
+
+
+def zero_budget_instance(seed):
+    return random_valid_instance(seed, n_choices=(3, 4, 5), max_len=8, alphabets=(2, 3), ks=(0,))
+
+
 @pytest.mark.parametrize(
     "inst",
     [equal_length_instance(6100 + i) for i in range(12)]
-    + [binary_mixed_instance(6200 + i) for i in range(40)],
+    + [binary_mixed_instance(6200 + i) for i in range(40)]
+    # the search over starts meets these shapes where the draws above do not
+    + [equal_length_instance(6300 + i, sizes=(24, 40), counts=(3, 4)) for i in range(6)]
+    + [long_middle_instance(6400 + i) for i in range(12)]
+    + [zero_budget_instance(6500 + i) for i in range(12)],
 )
 def test_core_placements_and_scan_match_cell_oracle(inst):
     # every core's (length, m_start) is the oracle's first feasible cell, and
@@ -271,3 +293,27 @@ def test_core_placements_and_scan_match_cell_oracle(inst):
         cells += visited
     assert len(pair_left) == len(pair_right) == inst.n * (inst.n - 1)
     assert pair_counters.core_scan == cells
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_overlaid_count_matches_four_case_reference_on_every_clean_cell(seed):
+    # the builders count a cell whose anchors overlap from the characters of
+    # the overlaid window; the four-case count from the mismatch table must
+    # agree on every clean cell, case 4 (m crossing the overlap) included
+    inst = random_valid_instance(7000 + seed, n_choices=(4, 5), max_len=8, alphabets=(2, 3))
+    strings = inst.strings
+    lengths = [len(s) for s in strings]
+    table = build_mismatch_table(inst)
+    crossing = 0
+    for l, m, r in itertools.permutations(range(inst.n), 3):
+        len_l, len_m, len_r = lengths[l], lengths[m], lengths[r]
+        for length in range(max(len_l, len_r), len_l + len_r):
+            if not overlay_is_clean(strings[l], strings[r], length):
+                continue
+            window = overlaid_window(strings[l], strings[r], length)
+            assert len(window) == length
+            for start in range(length - len_m + 1):
+                got = sum(map(ne, strings[m], window[start:]))
+                assert got == placement_mismatches(table, l, m, r, len_l, len_m, len_r, length, start)
+                crossing += classify_placement(len_l, len_m, len_r, length, start) == 4
+    assert crossing > 0

@@ -194,6 +194,31 @@ def test_counters_follow_the_anchored_shapes_exactly():
         assert counters.window_scan == 0
 
 
+def test_pair_build_counts_every_slider_character_at_every_shift():
+    # one comparison per slider character per shift of every ordered pair,
+    # whether or not it overlaps the base; the bound is met exactly when all
+    # strings share the longest length
+    instances = [random_valid_instance(seed, n_choices=(2, 3, 4, 5), max_len=9) for seed in range(1200, 1230)]
+    instances += [generate_instance(GeneratorParams(n, 5, 5, 4), seed=n, k=1) for n in range(2, 7)]
+    equal_lengths = 0
+    for inst in instances:
+        lengths = [len(s) for s in inst.strings]
+        expected = sum(
+            (lengths[i] + lengths[j]) * lengths[j]
+            for i in range(inst.n)
+            for j in range(inst.n)
+            if i != j
+        )
+        pair_build = solve(inst).counters.pair_build
+        assert pair_build == expected
+        bound = Counters.bounds(inst.n, max(lengths))["pair_build"]
+        assert pair_build <= bound
+        if len(set(lengths)) == 1:
+            assert pair_build == bound
+            equal_lengths += 1
+    assert equal_lengths >= 5
+
+
 def test_split_glue_lower_bound_holds():
     # joined at overlap(l, r), the two chains of any split are one chain
     # over outside | l | r, so the split scan never beats the shortest one
