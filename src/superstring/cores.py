@@ -100,8 +100,8 @@ def _first_overlapping_fit(
     Every position is an anchor's, so a cell's cost is the Hamming distance
     between m and the window at its start.  bound[start] counts m against
     `left` alone, which is part of that distance, so a start it puts over
-    budget is not counted.  Also returns the number of cells visited, the
-    winner included.
+    budget is passed over without counting characters.  Also returns the
+    number of cells a scan visits, the winner included.
     """
     work = 0
     for length in clean:
@@ -204,11 +204,13 @@ def build_triple_cores(
             placement = None
             overlaid = clean[l, r]
             if overlaid and overlaid[-1] >= len_m:
-                fit = _first_overlapping_fit(strings[l], strings[m], strings[r], overlaid, left[l, m], k)
-                placement, cells = fit
+                placement, cells = _first_overlapping_fit(
+                    strings[l], strings[m], strings[r], overlaid, left[l, m], k
+                )
                 work += cells
             if placement is None:
-                placement, cells = _first_fit(left[l, m], right, within, len_m, lengths[l] + len_r, k)
+                lo = lengths[l] + len_r
+                placement, cells = _first_fit(left[l, m], right, within, len_m, lo, k)
                 work += cells
             result[l, m, r] = placement
     if counters is not None:

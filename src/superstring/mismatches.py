@@ -28,12 +28,13 @@ class MismatchTable:
 
     def __init__(self, strings: tuple[str, ...], counts: dict[tuple[int, int], list[int]]):
         self._strings = strings
+        self._lengths = tuple(map(len, strings))
         self._counts = counts
         self._within: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     def shift_count(self, i: int, j: int) -> int:
         """Size of the shift domain for base i, slider j."""
-        return len(self._strings[i]) + len(self._strings[j])
+        return self._lengths[i] + self._lengths[j]
 
     def _check(self, i: int, j: int, shift: int) -> None:
         if shift < 0 or shift >= self.shift_count(i, j):
@@ -45,7 +46,7 @@ class MismatchTable:
     def positions(self, i: int, j: int, shift: int) -> tuple[int, ...]:
         """Sorted base positions where base i and slider j disagree."""
         self._check(i, j, shift)
-        counts = self._counts[i, j]  # the same KeyError as count for i == j
+        counts = self._counts[i, j]
         if counts[shift] == 0:
             return ()
         base, slider = self._strings[i], self._strings[j]
@@ -78,7 +79,8 @@ class MismatchTable:
         found = self._within.get((i, j, budget))
         if found is None:
             counts = enumerate(self._counts[i, j])
-            found = self._within[i, j, budget] = tuple([shift for shift, count in counts if count <= budget])
+            found = tuple([shift for shift, count in counts if count <= budget])
+            self._within[i, j, budget] = found
         return found
 
 

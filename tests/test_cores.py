@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from superstring import Counters, make_instance, build_mismatch_table
 from superstring.cli import GeneratorParams, generate_instance
-from superstring.cores import build_pair_cores, build_triple_cores, overlaid_window, overlay_is_clean
+from superstring.cores import (
+    build_pair_cores,
+    build_triple_cores,
+    overlaid_window,
+    overlay_is_clean,
+)
 from conftest import random_valid_instance, window_min_length, window_placement
 
 
@@ -314,6 +319,7 @@ def test_overlaid_count_matches_four_case_reference_on_every_clean_cell(seed):
             assert len(window) == length
             for start in range(length - len_m + 1):
                 got = sum(map(ne, strings[m], window[start:]))
-                assert got == placement_mismatches(table, l, m, r, len_l, len_m, len_r, length, start)
+                expected = placement_mismatches(table, l, m, r, len_l, len_m, len_r, length, start)
+                assert got == expected
                 crossing += classify_placement(len_l, len_m, len_r, length, start) == 4
     assert crossing > 0

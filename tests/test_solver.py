@@ -198,7 +198,9 @@ def test_pair_build_counts_every_slider_character_at_every_shift():
     # one comparison per slider character per shift of every ordered pair,
     # whether or not it overlaps the base; the bound is met exactly when all
     # strings share the longest length
-    instances = [random_valid_instance(seed, n_choices=(2, 3, 4, 5), max_len=9) for seed in range(1200, 1230)]
+    instances = [
+        random_valid_instance(seed, n_choices=(2, 3, 4, 5), max_len=9) for seed in range(1200, 1230)
+    ]
     instances += [generate_instance(GeneratorParams(n, 5, 5, 4), seed=n, k=1) for n in range(2, 7)]
     equal_lengths = 0
     for inst in instances:
