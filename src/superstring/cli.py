@@ -32,6 +32,8 @@ from .solver import solve, verify_solution
 # drawing this many candidates without completing an instance means the
 # requested shape is (practically) unsatisfiable
 GENERATOR_DRAW_LIMIT_PER_STRING = 500
+# the generator's symbols; an alphabet of size a uses the first a of them
+GENERATOR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass
@@ -60,18 +62,18 @@ def generate_instance(params: GeneratorParams, seed: int, k: int) -> Instance:
     """Draw a valid instance using a Mersenne Twister seeded with `seed`.
 
     Strings are drawn uniformly over the first `alphabet` lowercase letters
-    and the given length range; draws that would create a containment pair
-    (or a duplicate) are rejected and retried.  The seed fully determines the
-    result.
+    (2 to 26) and the given length range; draws that would create a
+    containment pair (or a duplicate) are rejected and retried.  The seed
+    fully determines the result.
     """
-    if params.alphabet < 2:
-        raise InstanceError("alphabet size must be at least 2")
+    if not 2 <= params.alphabet <= len(GENERATOR_LETTERS):
+        raise InstanceError("alphabet size must be between 2 and 26")
     if params.min_len < 1 or params.min_len > params.max_len:
         raise InstanceError("length range is empty")
     if params.count < 1:
         raise InstanceError("no strings")
     rng = random.Random(seed)
-    letters = "abcdefghijklmnopqrstuvwxyz"[: params.alphabet]
+    letters = GENERATOR_LETTERS[: params.alphabet]
     strings: list[str] = []
     budget = GENERATOR_DRAW_LIMIT_PER_STRING * params.count
     while len(strings) < params.count:
@@ -94,6 +96,10 @@ def _parse_gen_spec(text: str) -> GeneratorParams:
     for part in text.split(","):
         key, _, value = part.partition("=")
         fields[key.strip()] = value.strip()
+    bad = f"bad --gen spec {text!r}: expected n=<int>,len=<a>..<b>,alphabet=<int>"
+    unknown = sorted(fields.keys() - {"n", "len", "alphabet"})
+    if unknown:
+        raise InstanceError(f"{bad}, got unknown key {', '.join(unknown)}")
     try:
         lo, _, hi = fields["len"].partition("..")
         return GeneratorParams(
@@ -103,7 +109,7 @@ def _parse_gen_spec(text: str) -> GeneratorParams:
             alphabet=int(fields["alphabet"]),
         )
     except (KeyError, ValueError) as exc:
-        raise InstanceError(f"bad --gen spec {text!r}: expected n=<int>,len=<a>..<b>,alphabet=<int>") from exc
+        raise InstanceError(bad) from exc
 
 
 def _load_instance(config: RunConfig) -> Instance:

@@ -42,17 +42,20 @@ class Counters:
         # per ordered pair of distinct members of each mask, read or skipped:
         # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).
         # composition counts the n baseline candidates plus one per anchored
-        # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n.
+        # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n
+        # for n >= 2 (a single string is its own answer, so at n = 1 no
+        # table is built and every counter stays 0).
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries (memoised
         # feasibility answers try none).  The search has no tight polynomial
         # shape, so its bound is the product of its loop ranges
         # (anchor/interior-set choices, window cells, placement tree) and is
         # deliberately loose.  glue_scan counts the left/right chain splits
-        # tried for a triple shape, anchored or absorbed, whose window beat
-        # the incumbent minus the shape's glue lower bound: one per submask
-        # of the strings outside (l, m, r, interiors).  Summed over the
-        # interior sets of one (m, l, r) that is at most 3^(n-3), pruned or not
+        # tried for a two-anchor shape, anchored or absorbed, whose window
+        # beat the incumbent minus the shape's glue lower bound: 2^|outside|
+        # per scan, one per submask of the strings outside (l, m, r,
+        # interiors).  Summed over the interior sets of one (m, l, r) that
+        # is at most 3^(n-3), pruned or not
         return {
             "pair_build": 2 * n * (n - 1) * c * c,
             "core_scan": n ** 3 * (3 * c) ** 2,

@@ -60,9 +60,10 @@ class Instance:
 class ValidationReport:
     """Outcome of :func:`validate`: empty ``violations`` means valid.
 
-    Each violation is a ``(kind, index_a, index_b)`` triple with kind one of
+    Each violation is a ``(kind, index_a, index_b)`` triple with kind
     ``substring`` (strings[index_a] occurs inside strings[index_b]; equal
-    strings are reported this way too), ``duplicate`` or ``empty``.
+    strings are reported this way too) or ``empty`` (strings[index_a] is
+    empty, and index_b == index_a).
     """
 
     violations: list[tuple[str, int, int]] = field(default_factory=list)

@@ -25,20 +25,20 @@ always feasible and seeds the minimisation.
 
 Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
 an absent anchor, searched by a single loop over interior sets: an anchored
-shape has only the empty one, an absorbed shape every non-empty one.  The
-shapes differ only in their glue, the length the strings outside the window
-add: a left chain ending in l, a right chain starting in r, the cheapest
-split of the outside strings between both, or nothing when every string is
-inside.  One helper (``_window``) gives the window for composition and
-reconstruction alike: the merge core when the interior set is empty, the
-placement engine otherwise.  Reconstruction has one path: each chain is
-laid out iff its anchor exists.
+shape has only the empty one, an absorbed shape every non-empty one.  One
+routine (``_glue``) prices the strings outside the window for every shape:
+a left chain ending in l if l exists, a right chain starting in r if r
+exists, the cheapest split of the outside strings between both when both
+do, and nothing when neither does.  One helper (``_window``) gives the
+window for composition and reconstruction alike: the merge core when the
+interior set is empty, the placement engine otherwise.  Reconstruction has
+one path: each chain is laid out iff its anchor exists.
 
-Window first, glue second.  A triple's glue is a scan over every split of
-its outside strings (the Held-Karp subset tables read back per shape), so a
-triple shape first asks for a window shorter than the incumbent minus a
-lower bound on that glue: the shortest chain over the outside strings and
-both anchors (``chain_min``, one entry per subset), plus the anchors' own
+Window first, glue second.  With both anchors the glue is a scan over every
+split of the outside strings (the Held-Karp subset tables read back per
+shape), so such a shape first asks for a window shorter than the incumbent
+minus a lower bound on that glue: the shortest chain over the outside
+strings and both anchors (``SubsetTable.row_min``), plus the anchors' own
 overlap, minus their lengths.  The left and right chains of any split,
 joined at that overlap, are one such chain, so the bound holds.  Only when
 a window comes back is the split scanned, and the shape is kept iff glue
@@ -121,9 +121,6 @@ class _Tables:
     cores: CoreTable
     overlap: OverlapTable
     subsets: SubsetTable
-    # chain_min[mask]: min over j of dp_right[mask][j], the row minima the
-    # subset DP keeps as it fills its tables (SubsetTable.row_min)
-    chain_min: list[int]
 
 
 def _submasks(mask: int):
@@ -334,17 +331,33 @@ class _Placer:
         return dict(_search(options, order, 0, value, covered, cost, self.k, self.counters))
 
 
-def _min_glue(dp_right, dp_left, outside, l, r, counters):
-    """Cheapest left/right chain split of `outside` around anchors l and r, and its left share."""
-    best = None
-    best_sub = 0
-    for sub in _submasks(outside):
-        counters.glue_scan += 1
-        value = dp_right[sub | (1 << l)][l] + dp_left[(outside ^ sub) | (1 << r)][r]
-        if best is None or value < best or (value == best and sub < best_sub):
-            best = value
-            best_sub = sub
-    return best, best_sub
+def _glue(subsets, lengths, l, r, outside, counters):
+    """(length the chains outside the window add, the left chain's share of outside), or None.
+
+    A chain ends in the left anchor l and another starts in the right anchor
+    r, each iff its anchor exists (-1 when absent), together holding exactly
+    the strings of `outside`; with neither anchor only an empty `outside`
+    can be placed.  With both, every split of `outside` is scanned, submasks
+    in descending order, and the cheapest wins, the smallest left share
+    among equal lengths.
+    """
+    if l < 0 and r < 0:
+        return None if outside else (0, 0)
+    if r < 0:
+        return subsets.dp_right[outside | 1 << l][l] - lengths[l], outside
+    if l < 0:
+        return subsets.dp_left[outside | 1 << r][r] - lengths[r], 0
+    counters.glue_scan += 1 << outside.bit_count()
+    dp_right, dp_left = subsets.dp_right, subsets.dp_left
+    bit_l, bit_r = 1 << l, 1 << r
+    sub = best_sub = outside
+    best = dp_right[outside | bit_l][l] + dp_left[bit_r][r]
+    while sub:
+        sub = (sub - 1) & outside
+        value = dp_right[sub | bit_l][l] + dp_left[(outside ^ sub) | bit_r][r]
+        if value <= best:
+            best, best_sub = value, sub
+    return best - lengths[l] - lengths[r], best_sub
 
 
 def _window(cores, placer, m, l, r, interior_mask, cutoff):
@@ -374,20 +387,19 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
     non-empty ones in descending mask order (``_submasks``).  A candidate is
     kept only when strictly shorter than the incumbent, so among
     equal-length candidates the first one tried wins: the least (kind, l, r)
-    and, for one absorbed (kind, l, r), the largest interior mask.  The chain
-    split of a triple is ``_min_glue``'s, the smallest among equal lengths.
+    and, for one absorbed (kind, l, r), the largest interior mask.  Every
+    shape's glue and chain split come from ``_glue``.
 
-    Window first, glue second: a triple shape asks for its window against a
-    lower bound on its glue, and scans its chain splits only when a window
-    comes back.
+    Window first, glue second: a shape with both anchors asks for its window
+    against a lower bound on its glue, and scans its chain splits only when
+    a window comes back.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
     rest_mask = ((1 << n) - 1) ^ (1 << m)
     others = [e for e in range(n) if e != m]
-    dp_right = tables.subsets.dp_right
-    dp_left = tables.subsets.dp_left
-    chain_min = tables.chain_min
+    subsets = tables.subsets
+    row_min = subsets.row_min
     overlaps = tables.overlap.values
     best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
 
@@ -399,41 +411,19 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
             fits |= 1 << e
     placer = _Placer(instance, tables.mismatch, m, fits, counters) if fits else None
 
-    # glue of one shape for the strings `outside` its anchors and interiors:
-    # (candidate length minus window length, the left chain's share of
-    # outside), or None when the shape cannot place them; the triples give
-    # a lower bound first (split_bound) and the glue once a window survives
-    def left_glue(l, r, outside):
-        return dp_right[outside | 1 << l][l] - lengths[l], outside
-
-    def right_glue(l, r, outside):
-        return dp_left[outside | 1 << r][r] - lengths[r], 0
-
-    def split_glue(l, r, outside):
-        glue, sub = _min_glue(dp_right, dp_left, outside, l, r, counters)
-        return glue - lengths[l] - lengths[r], sub
-
-    # split_glue without its 2^|outside| scan, from below: the two chains of
-    # any split, joined at overlap(l, r), are one chain over outside | l | r
-    def split_bound(l, r, outside):
-        bound = chain_min[outside | 1 << l | 1 << r] + overlaps[l][r]
-        return bound - lengths[l] - lengths[r], None
-
-    def no_glue(l, r, outside):
-        return None if outside else (0, 0)
-
     pairs = [(l, r) for l in others for r in others if r != l]
     shapes = (
-        [(_EDGE_LEFT, left_glue, l, -1) for l in others]
-        + [(_EDGE_RIGHT, right_glue, -1, r) for r in others]
-        + [(_TRIPLE, split_bound, l, r) for l, r in pairs]
-        + [(_EDGE_LEFT_ABS, left_glue, l, -1) for l in others]
-        + [(_EDGE_RIGHT_ABS, right_glue, -1, r) for r in others]
-        + [(_TRIPLE_ABS, split_bound, l, r) for l, r in pairs]
-        + [(_ENCLOSED, no_glue, -1, -1)]
+        [(_EDGE_LEFT, l, -1) for l in others]
+        + [(_EDGE_RIGHT, -1, r) for r in others]
+        + [(_TRIPLE, l, r) for l, r in pairs]
+        + [(_EDGE_LEFT_ABS, l, -1) for l in others]
+        + [(_EDGE_RIGHT_ABS, -1, r) for r in others]
+        + [(_TRIPLE_ABS, l, r) for l, r in pairs]
+        + [(_ENCLOSED, -1, -1)]
     )
-    for kind, glue_of, l, r in shapes:
+    for kind, l, r in shapes:
         around = rest_mask & ~(_bit(l) | _bit(r))
+        both = l >= 0 and r >= 0
         if kind <= _TRIPLE:
             counters.composition += 1
             interior_sets = (0,)
@@ -441,16 +431,23 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
             interior_sets = (s for s in _submasks(around & fits) if s)
         for interior_mask in interior_sets:
             outside = around ^ interior_mask
-            glue = glue_of(l, r, outside)
-            if glue is None:
-                continue
+            if both:
+                # the split glue from below, without its scan: the two chains
+                # of any split, joined at overlap(l, r), are one chain over
+                # outside | l | r
+                floor = row_min[outside | 1 << l | 1 << r] + overlaps[l][r] - lengths[l] - lengths[r]
+            else:
+                glue = _glue(subsets, lengths, l, r, outside, counters)
+                if glue is None:
+                    continue
+                floor = glue[0]
             # the window is the shortest below the cutoff whatever the
             # cutoff, so a bound in place of the glue finds the same one
-            found = _window(tables.cores, placer, m, l, r, interior_mask, best[0] - glue[0])
+            found = _window(tables.cores, placer, m, l, r, interior_mask, best[0] - floor)
             if found is None:
                 continue
-            if glue_of is split_bound:
-                glue = split_glue(l, r, outside)
+            if both:
+                glue = _glue(subsets, lengths, l, r, outside, counters)
             if glue[0] + found[0] < best[0]:
                 best = (glue[0] + found[0], kind, m, l, r, interior_mask, glue[1])
 
@@ -462,9 +459,7 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     cores = build_core_table(instance, mismatch, counters)
     overlap = build_overlap_table(instance)
     subsets = build_subset_table(instance, overlap, counters)
-    return _Tables(
-        mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets, chain_min=subsets.row_min
-    )
+    return _Tables(mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets)
 
 
 def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
@@ -487,12 +482,8 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
         )
 
     tables = _solve_tables(instance, counters)
-    full = (1 << n) - 1
-    dp_right = tables.subsets.dp_right
-
-    baseline_j = min(range(n), key=lambda j: (dp_right[full][j], j))
     counters.composition += n
-    baseline_value = dp_right[full][baseline_j]
+    baseline_value = tables.subsets.row_min[(1 << n) - 1]
     best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
 
     for m in range(n):
@@ -504,7 +495,7 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
     mistake_index = 0 if kind == _BASELINE else best[2]
     solution = Solution(length=best[0], mistake_index=mistake_index, counters=counters)
     if reconstruct:
-        witness, offsets = _assemble(instance, tables, best, baseline_j)
+        witness, offsets = _assemble(instance, tables, best)
         solution.witness = witness
         solution.offsets = offsets
         mistake = instance.strings[mistake_index]
@@ -550,7 +541,7 @@ def _chain(instance, tables, mask: int, end: int, rightmost: bool) -> list[tuple
     return placed
 
 
-def _assemble(instance, tables, best, baseline_j) -> tuple[str, list[int]]:
+def _assemble(instance, tables, best) -> tuple[str, list[int]]:
     """Lay every string at its offset and render the witness characters."""
     length, kind, m, l, r, interior_mask, sub = best
     n = instance.n
@@ -559,7 +550,8 @@ def _assemble(instance, tables, best, baseline_j) -> tuple[str, list[int]]:
     full = (1 << n) - 1
 
     if kind == _BASELINE:
-        placed = _chain(instance, tables, full, baseline_j, rightmost=True)
+        last = tables.subsets.dp_right[full].index(length)
+        placed = _chain(instance, tables, full, last, rightmost=True)
     else:
         placer = None
         if interior_mask:

@@ -197,6 +197,20 @@ def test_bad_gen_spec_exit_code():
     assert main(["--gen", "nope", "--k", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["n=3,len=2..3,alphabet=30", "n=3,len=2..3,alphabet=2,extra=1"],
+    ids=["alphabet-above-26", "unknown-key"],
+)
+def test_gen_spec_it_cannot_honour_exit_code(spec, capsys):
+    # 26 letters are all the generator has, and a key it does not know
+    # would silently change nothing
+    assert main(["--gen", spec, "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_main_smoke(capsys):
     assert main(["--strings", "ab,ba", "--k", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,9 +12,10 @@ from superstring import (
     verify_solution,
 )
 from superstring.cli import GeneratorParams, generate_instance
+from superstring.instance import InstanceError
 from superstring.counters import Counters
 from superstring.oracle import OracleLimits
-from superstring.solver import _min_glue, _solve_tables, _submasks
+from superstring.solver import _Placer, _glue, _solve_tables, _submasks
 from conftest import random_valid_instance
 
 
@@ -221,9 +223,38 @@ def test_pair_build_counts_every_slider_character_at_every_shift():
     assert equal_lengths >= 5
 
 
+def _splits(outside, n):
+    """Every submask of outside, listed from its members."""
+    members = [1 << e for e in range(n) if outside >> e & 1]
+    return [sum(part) for size in range(len(members) + 1) for part in combinations(members, size)]
+
+
+def _plain_glue(subsets, lengths, l, r, outside, n):
+    """_glue's contract computed straight from the tables, None when unplaceable."""
+    if l < 0 and r < 0:
+        return None if outside else (0, 0)
+    if r < 0:
+        return subsets.dp_right[outside | 1 << l][l] - lengths[l], outside
+    if l < 0:
+        return subsets.dp_left[outside | 1 << r][r] - lengths[r], 0
+    return min(
+        (
+            subsets.dp_right[sub | 1 << l][l]
+            + subsets.dp_left[(outside ^ sub) | 1 << r][r]
+            - lengths[l]
+            - lengths[r],
+            sub,
+        )
+        for sub in _splits(outside, n)
+    )
+
+
 def test_split_glue_lower_bound_holds():
     # joined at overlap(l, r), the two chains of any split are one chain
-    # over outside | l | r, so the split scan never beats the shortest one
+    # over outside | l | r, so the split scan never beats the shortest one;
+    # every anchor shape's glue is also checked against the plain minimum
+    # over its splits (the smallest left share on ties), and only a
+    # two-anchor call scans, 2^|outside| splits
     rng = random.Random(20261019)
     checked = tight = 0
     for draw in range(144):
@@ -231,18 +262,79 @@ def test_split_glue_lower_bound_holds():
         params = GeneratorParams(n, 2, 8, rng.randint(3, 4))
         inst = generate_instance(params, rng.randrange(10**9), 0)
         tables = _solve_tables(inst, Counters())
-        dp_right, dp_left = tables.subsets.dp_right, tables.subsets.dp_left
+        subsets = tables.subsets
+        lengths = [len(s) for s in inst.strings]
         overlaps = tables.overlap.values
-        for l in range(n):
-            for r in range(n):
-                if l == r:
+        for l in range(-1, n):
+            for r in range(-1, n):
+                if l == r >= 0:
                     continue
-                for outside in _submasks(((1 << n) - 1) ^ (1 << l) ^ (1 << r)):
-                    glue = _min_glue(dp_right, dp_left, outside, l, r, Counters())[0]
-                    bound = tables.chain_min[outside | 1 << l | 1 << r] + overlaps[l][r]
-                    assert glue >= bound, (inst.strings, l, r, outside)
+                anchors = (1 << l if l >= 0 else 0) | (1 << r if r >= 0 else 0)
+                for outside in _submasks(((1 << n) - 1) ^ anchors):
+                    counters = Counters()
+                    glue = _glue(subsets, lengths, l, r, outside, counters)
+                    assert glue == _plain_glue(subsets, lengths, l, r, outside, n), (inst.strings, l, r, outside)
+                    if l < 0 or r < 0:
+                        assert counters.glue_scan == 0
+                        continue
+                    assert counters.glue_scan == 2 ** bin(outside).count("1")
+                    bound = subsets.row_min[outside | anchors] + overlaps[l][r]
+                    length = glue[0] + lengths[l] + lengths[r]
+                    assert length >= bound, (inst.strings, l, r, outside)
                     checked += 1
-                    tight += glue == bound
+                    tight += length == bound
     # the bound is worth having only if it is often exact
     assert checked == 24 * sum(m * (m - 1) * 2 ** (m - 2) for m in range(3, 9))
     assert tight * 5 >= checked, (tight, checked)
+
+
+def test_glue_and_window_never_shrink_as_sets_grow():
+    # one more string outside never makes the glue shorter, and one more
+    # string inside never makes the first window shorter, for every anchor
+    # pair, absent anchors included; None (nothing fits) counts as infinite
+    def longer_or_equal(grown, base):
+        return grown is None or (base is not None and grown[0] >= base[0])
+
+    rng = random.Random(20261020)
+    glue_pairs = window_pairs = 0
+    for draw in range(120):
+        n = 3 + draw % 5
+        params = GeneratorParams(n, 2, 8, rng.randint(2, 4))
+        try:
+            inst = generate_instance(params, rng.randrange(10**9), rng.randint(0, 3))
+        except InstanceError:  # too few binary strings free of containment
+            continue
+        tables = _solve_tables(inst, Counters())
+        lengths = [len(s) for s in inst.strings]
+        anchor_pairs = [(l, r) for l in range(-1, n) for r in range(-1, n) if not l == r >= 0]
+        for l, r in anchor_pairs:
+            anchors = (1 << l if l >= 0 else 0) | (1 << r if r >= 0 else 0)
+            free = ((1 << n) - 1) ^ anchors
+            for outside in _submasks(free):
+                base = _glue(tables.subsets, lengths, l, r, outside, Counters())
+                for e in range(n):
+                    if free & ~outside >> e & 1:
+                        grown = _glue(tables.subsets, lengths, l, r, outside | 1 << e, Counters())
+                        assert longer_or_equal(grown, base), (inst.strings, l, r, outside, e)
+                        glue_pairs += 1
+        for m in range(n):
+            fits = sum(1 << e for e in range(n) if e != m and lengths[e] <= lengths[m] - 2)
+            if not fits:
+                continue
+            placer = _Placer(inst, tables.mismatch, m, fits, Counters())
+            cutoff = sum(lengths) + 1
+            for l, r in anchor_pairs:
+                if m in (l, r):
+                    continue
+                inner = fits & ~(1 << l if l >= 0 else 0) & ~(1 << r if r >= 0 else 0)
+                for interior in _submasks(inner):
+                    if not interior:
+                        continue
+                    base = placer.first_window(l, r, interior, cutoff)
+                    for e in range(n):
+                        if inner & ~interior >> e & 1:
+                            grown = placer.first_window(l, r, interior | 1 << e, cutoff)
+                            assert longer_or_equal(grown, base), (inst.strings, m, l, r, interior, e)
+                            window_pairs += 1
+    print(f"monotonicity: {glue_pairs} glue pairs, {window_pairs} window pairs")
+    assert glue_pairs > 100_000 and window_pairs > 1_000, (glue_pairs, window_pairs)
