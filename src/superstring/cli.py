@@ -32,8 +32,6 @@ from .solver import solve, verify_solution
 # drawing this many candidates without completing an instance means the
 # requested shape is (practically) unsatisfiable
 GENERATOR_DRAW_LIMIT_PER_STRING = 500
-# the generator's symbols; an alphabet of size a uses the first a of them
-GENERATOR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass
@@ -66,14 +64,14 @@ def generate_instance(params: GeneratorParams, seed: int, k: int) -> Instance:
     containment pair (or a duplicate) are rejected and retried.  The seed
     fully determines the result.
     """
-    if not 2 <= params.alphabet <= len(GENERATOR_LETTERS):
+    if not 2 <= params.alphabet <= 26:
         raise InstanceError("alphabet size must be between 2 and 26")
     if params.min_len < 1 or params.min_len > params.max_len:
         raise InstanceError("length range is empty")
     if params.count < 1:
         raise InstanceError("no strings")
     rng = random.Random(seed)
-    letters = GENERATOR_LETTERS[: params.alphabet]
+    letters = "abcdefghijklmnopqrstuvwxyz"[: params.alphabet]
     strings: list[str] = []
     budget = GENERATOR_DRAW_LIMIT_PER_STRING * params.count
     while len(strings) < params.count:

@@ -43,8 +43,7 @@ class Counters:
         # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).
         # composition counts the n baseline candidates plus one per anchored
         # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n
-        # for n >= 2 (a single string is its own answer, so at n = 1 no
-        # table is built and every counter stays 0).
+        # for n >= 2; a single string returns before any work, all counts 0.
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries (memoised
         # feasibility answers try none).  The search has no tight polynomial

@@ -422,7 +422,8 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
         + [(_ENCLOSED, -1, -1)]
     )
     for kind, l, r in shapes:
-        around = rest_mask & ~(_bit(l) | _bit(r))
+        anchors = _bit(l) | _bit(r)
+        around = rest_mask & ~anchors
         both = l >= 0 and r >= 0
         if kind <= _TRIPLE:
             counters.composition += 1
@@ -432,10 +433,9 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
         for interior_mask in interior_sets:
             outside = around ^ interior_mask
             if both:
-                # the split glue from below, without its scan: the two chains
-                # of any split, joined at overlap(l, r), are one chain over
-                # outside | l | r
-                floor = row_min[outside | 1 << l | 1 << r] + overlaps[l][r] - lengths[l] - lengths[r]
+                # the split glue from below: the two chains of any split,
+                # joined at overlap(l, r), are one chain over outside | l | r
+                floor = row_min[outside | anchors] + overlaps[l][r] - lengths[l] - lengths[r]
             else:
                 glue = _glue(subsets, lengths, l, r, outside, counters)
                 if glue is None:

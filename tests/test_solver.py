@@ -15,7 +15,7 @@ from superstring.cli import GeneratorParams, generate_instance
 from superstring.instance import InstanceError
 from superstring.counters import Counters
 from superstring.oracle import OracleLimits
-from superstring.solver import _Placer, _glue, _solve_tables, _submasks
+from superstring.solver import _Placer, _bit, _glue, _solve_tables, _submasks
 from conftest import random_valid_instance
 
 
@@ -269,7 +269,7 @@ def test_split_glue_lower_bound_holds():
             for r in range(-1, n):
                 if l == r >= 0:
                     continue
-                anchors = (1 << l if l >= 0 else 0) | (1 << r if r >= 0 else 0)
+                anchors = _bit(l) | _bit(r)
                 for outside in _submasks(((1 << n) - 1) ^ anchors):
                     counters = Counters()
                     glue = _glue(subsets, lengths, l, r, outside, counters)
@@ -308,7 +308,7 @@ def test_glue_and_window_never_shrink_as_sets_grow():
         lengths = [len(s) for s in inst.strings]
         anchor_pairs = [(l, r) for l in range(-1, n) for r in range(-1, n) if not l == r >= 0]
         for l, r in anchor_pairs:
-            anchors = (1 << l if l >= 0 else 0) | (1 << r if r >= 0 else 0)
+            anchors = _bit(l) | _bit(r)
             free = ((1 << n) - 1) ^ anchors
             for outside in _submasks(free):
                 base = _glue(tables.subsets, lengths, l, r, outside, Counters())
@@ -326,7 +326,7 @@ def test_glue_and_window_never_shrink_as_sets_grow():
             for l, r in anchor_pairs:
                 if m in (l, r):
                     continue
-                inner = fits & ~(1 << l if l >= 0 else 0) & ~(1 << r if r >= 0 else 0)
+                inner = fits & ~(_bit(l) | _bit(r))
                 for interior in _submasks(inner):
                     if not interior:
                         continue
