@@ -313,7 +313,7 @@ def test_glue_and_window_never_shrink_as_sets_grow():
             for outside in _submasks(free):
                 base = _glue(tables.subsets, lengths, l, r, outside, Counters())
                 for e in range(n):
-                    if free & ~outside >> e & 1:
+                    if (free & ~outside) >> e & 1:
                         grown = _glue(tables.subsets, lengths, l, r, outside | 1 << e, Counters())
                         assert longer_or_equal(grown, base), (inst.strings, l, r, outside, e)
                         glue_pairs += 1
@@ -332,7 +332,7 @@ def test_glue_and_window_never_shrink_as_sets_grow():
                         continue
                     base = placer.first_window(l, r, interior, cutoff)
                     for e in range(n):
-                        if inner & ~interior >> e & 1:
+                        if (inner & ~interior) >> e & 1:
                             grown = placer.first_window(l, r, interior | 1 << e, cutoff)
                             assert longer_or_equal(grown, base), (inst.strings, m, l, r, interior, e)
                             window_pairs += 1
