@@ -74,6 +74,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from .cores import CoreTable, build_core_table
 from .counters import Counters
@@ -216,7 +217,7 @@ class _Placer:
         for e in _bits(fits, instance.n):
             s = strings[e]
             span = (1 << (len(s) * width)) - 1
-            self.placements[e] = tuple(
+            packed = (
                 (
                     offset,
                     _pack(s, offset, self.code, width),
@@ -225,7 +226,9 @@ class _Placer:
                 )
                 for offset in range(1, len_m - len(s))
             )
-        self.feasible: dict[tuple[int, int], dict[int, bool]] = {}
+            # a placement that alone disagrees with m beyond budget never fits
+            self.placements[e] = tuple(p for p in packed if p[3].bit_count() <= self.k)
+        self.covers: dict[tuple[int, int], tuple | None] = {}
         self.anchors = None
 
     def _use_anchors(self, l, r):
@@ -238,7 +241,6 @@ class _Placer:
         self.r_value = _pack(strings[r], 0, code, width) if r >= 0 else 0
         self.lengths = range(max(len_l, len_m, len_r), len_l + len_m + len_r + 1)
         self.groups: list[list[tuple]] = []
-        self.covers: dict[tuple[int, int], tuple | None] = {}
 
     def _group(self, length):
         """(start, cover) of every window of one length whose anchors fit the budget."""
@@ -268,7 +270,12 @@ class _Placer:
         return windows
 
     def _cover(self, value, covered):
-        """(value, covered, cost, options, fitting mask, memo) of a cover, or None over budget."""
+        """(value, covered, cost, options, fitting mask, rank, memo) of a cover, or None over budget.
+
+        `rank` lists the fitting strings by their number of options, fewest
+        first, ties by index: the order the feasibility search tries them.
+        `memo` maps interior masks to whether they fit under this cover.
+        """
         k = self.k
         differ = (value ^ self.m_value) & covered
         folded = differ
@@ -290,8 +297,8 @@ class _Placer:
                 ]
                 if options[e]:
                     fitting |= 1 << e
-        memo = self.feasible.setdefault((value, covered), {})
-        return value, covered, cost, options, fitting, memo
+        rank = sorted(_bits(fitting, len(options)), key=lambda e: len(options[e]))
+        return value, covered, cost, options, fitting, rank, {}
 
     def first_window(self, l, r, interior_mask, cutoff):
         """(length, start, cover) of the first window below cutoff holding interior_mask, or None.
@@ -303,7 +310,6 @@ class _Placer:
             self._use_anchors(l, r)
         counters = self.counters
         groups = self.groups
-        order = None
         for i, length in enumerate(self.lengths):
             if length >= cutoff:
                 return None
@@ -311,13 +317,14 @@ class _Placer:
                 groups.append(self._group(length))
             for start, cover in groups[i]:
                 counters.window_scan += 1
-                value, covered, cost, options, fitting, memo = cover
+                value, covered, cost, options, fitting, rank, memo = cover
                 if interior_mask & ~fitting:
                     continue
                 hit = memo.get(interior_mask)
                 if hit is None:
-                    if order is None:
-                        order = _bits(interior_mask, len(options))
+                    # whether a set fits does not depend on the order it is
+                    # placed in; fewest options first fails soonest
+                    order = [e for e in rank if interior_mask >> e & 1]
                     found = _search(options, order, 0, value, covered, cost, self.k, counters)
                     hit = memo[interior_mask] = found is not None
                 if hit:
@@ -325,8 +332,12 @@ class _Placer:
         return None
 
     def interiors(self, cover, interior_mask):
-        """{interior: offset in m} of interior_mask's first placement under a cover."""
-        value, covered, cost, options, _, _ = cover
+        """{interior: offset in m} of interior_mask's first placement under a cover.
+
+        Strings are placed in index order, whatever order the feasibility
+        search used, so the offsets do not depend on it.
+        """
+        value, covered, cost, options, _, _, _ = cover
         order = _bits(interior_mask, len(options))
         return dict(_search(options, order, 0, value, covered, cost, self.k, self.counters))
 
@@ -379,20 +390,43 @@ def _window(cores, placer, m, l, r, interior_mask, cutoff):
     return (core.length, core.m_start, None) if core.length < cutoff else None
 
 
-def _candidates_for_m(instance, tables, m, baseline_value, counters):
-    """Best candidate tuple with string m carrying the mismatches.
+def _candidates_for_m(instance, tables, m, best, counters):
+    """The least of `best` and every candidate with string m carrying the mismatches.
 
     One loop over (kind, l, r) shapes in ascending order.  An anchored shape
     has one interior set, the empty one; an absorbed shape tries the
-    non-empty ones in descending mask order (``_submasks``).  A candidate is
-    kept only when strictly shorter than the incumbent, so among
-    equal-length candidates the first one tried wins: the least (kind, l, r)
-    and, for one absorbed (kind, l, r), the largest interior mask.  Every
-    shape's glue and chain split come from ``_glue``.
+    non-empty ones in descending mask order (``_submasks``).  `best` is the
+    incumbent carried over from the earlier mistake strings, and a candidate
+    replaces it iff its (length, kind) is smaller.  Within one m kinds
+    ascend, so there this is the strict length test: among equal-length
+    candidates the first one tried wins, the least (kind, l, r) and, for one
+    absorbed (kind, l, r), the largest interior mask.  Across m it gives the
+    least (length, kind, m), as a minimum over the m would.  Every shape's
+    glue and chain split come from ``_glue``.
 
     Window first, glue second: a shape with both anchors asks for its window
     against a lower bound on its glue, and scans its chain splits only when
     a window comes back.
+
+    Block skip.  Let `shortest` be the merge core of the shape's anchors and
+    m (|m| with no anchors), and `cutoff` the least length that cannot win,
+    best[0] + (kind < best[1]).  When a set S has no glue or its glue
+    bound `floor` has floor + shortest >= cutoff, S is skipped together with
+    the sets that follow it in descending order and agree with S above its
+    lowest missing pool bit b: S holds every pool bit below b, so they are
+    exactly the subsets of S with those bits in any state, a contiguous run
+    that ends at S with them cleared.  Each T of them fails the same test:
+    - T is a subset of S, so its outside set is a superset of S's, and the
+      glue never falls as the outside set grows (a string dropped from a
+      chain of substring-free strings never lengthens it: when its
+      neighbours' overlaps with it reach past each other inside it, they
+      overlap each other by at least as much), nor does ``row_min``, or the
+      row_min bound; with no anchors the glue stays None;
+    - no absorbed window is shorter than the merge core, which is the
+      shortest window holding the anchors and m at all;
+    - the cutoff never rises while the shape is searched.
+    A skipped set would have found no window, and found none at no counted
+    cost, since no anchor window is shorter than the merge core either.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -401,7 +435,7 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
     subsets = tables.subsets
     row_min = subsets.row_min
     overlaps = tables.overlap.values
-    best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
+    cores = tables.cores
 
     # only strings strictly shorter than |m| - 1 can vanish inside m, so
     # interior sets are drawn from those alone
@@ -427,29 +461,39 @@ def _candidates_for_m(instance, tables, m, baseline_value, counters):
         both = l >= 0 and r >= 0
         if kind <= _TRIPLE:
             counters.composition += 1
-            interior_sets = (0,)
+            pool = 0
         else:
-            interior_sets = (s for s in _submasks(around & fits) if s)
-        for interior_mask in interior_sets:
-            outside = around ^ interior_mask
+            pool = around & fits
+            if not pool:
+                continue
+        shortest = _window(cores, placer, m, l, r, 0, inf)[0] if anchors else lengths[m]
+        interior = pool
+        while True:
+            outside = around ^ interior
             if both:
                 # the split glue from below: the two chains of any split,
                 # joined at overlap(l, r), are one chain over outside | l | r
                 floor = row_min[outside | anchors] + overlaps[l][r] - lengths[l] - lengths[r]
             else:
                 glue = _glue(subsets, lengths, l, r, outside, counters)
-                if glue is None:
-                    continue
-                floor = glue[0]
-            # the window is the shortest below the cutoff whatever the
-            # cutoff, so a bound in place of the glue finds the same one
-            found = _window(tables.cores, placer, m, l, r, interior_mask, best[0] - floor)
-            if found is None:
-                continue
-            if both:
-                glue = _glue(subsets, lengths, l, r, outside, counters)
-            if glue[0] + found[0] < best[0]:
-                best = (glue[0] + found[0], kind, m, l, r, interior_mask, glue[1])
+                floor = None if glue is None else glue[0]
+            cutoff = best[0] + (kind < best[1])
+            if floor is None or floor + shortest >= cutoff:
+                missing = pool & ~interior
+                interior &= ~((missing & -missing) - 1) if missing else 0
+            else:
+                # the window is the shortest below the cutoff whatever the
+                # cutoff, so a bound in place of the glue finds the same one
+                found = _window(cores, placer, m, l, r, interior, cutoff - floor)
+                if found is not None:
+                    if both:
+                        glue = _glue(subsets, lengths, l, r, outside, counters)
+                    if (glue[0] + found[0], kind) < best[:2]:
+                        best = (glue[0] + found[0], kind, m, l, r, interior, glue[1])
+            if interior:
+                interior = (interior - 1) & pool
+            if not interior:
+                break
 
     return best
 
@@ -483,13 +527,9 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
 
     tables = _solve_tables(instance, counters)
     counters.composition += n
-    baseline_value = tables.subsets.row_min[(1 << n) - 1]
-    best = (baseline_value, _BASELINE, -1, -1, -1, -1, -1)
-
+    best = (tables.subsets.row_min[(1 << n) - 1], _BASELINE, -1, -1, -1, -1, -1)
     for m in range(n):
-        cand = _candidates_for_m(instance, tables, m, baseline_value, counters)
-        if cand < best:
-            best = cand
+        best = _candidates_for_m(instance, tables, m, best, counters)
 
     kind = best[1]
     mistake_index = 0 if kind == _BASELINE else best[2]

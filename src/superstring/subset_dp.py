@@ -81,7 +81,10 @@ def build_overlap_table(instance: Instance) -> OverlapTable:
 
 
 def _chain_dp(
-    instance: Instance, overlaps: Sequence[Sequence[int]], row_min: list[int]
+    instance: Instance,
+    overlaps: Sequence[Sequence[int]],
+    row_min: list[int],
+    row_min_filled: bool = False,
 ) -> tuple[list[list[int | None]], int]:
     """``dp[mask][j]``: min over p of ``dp[mask - j][p] + |s_j| - overlaps[p][j]``.
 
@@ -92,9 +95,10 @@ def _chain_dp(
     2^n entries and receives each row's minimum as the row is filled; its
     empty-mask entry stays 0, so a singleton gets |s_j|.  As the minima are
     the same in both tables, dp_left may be filled against the list dp_right
-    filled, and rewrites it with equal values.  Returns the table and the
-    recurrence's term count, one per (mask, j, p in rest) whether read or
-    skipped: the sum of c(c-1) over masks of c members, n(n-1)2^(n-2).
+    filled, with `row_min_filled` set so that the list is only read.
+    Returns the table and the recurrence's term count, one per (mask, j, p
+    in rest) whether read or skipped: the sum of c(c-1) over masks of c
+    members, n(n-1)2^(n-2).
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -117,7 +121,8 @@ def _chain_dp(
                 if value is not None and value - gain < best:
                     best = value - gain
             row[j] = best + length
-        row_min[mask] = min(filter(None, row))
+        if not row_min_filled:
+            row_min[mask] = min(filter(None, row))
     return dp, n * (n - 1) * (1 << n) // 4
 
 
@@ -147,7 +152,7 @@ def build_subset_table(
     """Both tables, filled in turn against one shared list of row minima."""
     row_min = [0] * (1 << instance.n)
     dp_right, right_work = _chain_dp(instance, overlap.values, row_min)
-    dp_left, left_work = _chain_dp(instance, list(zip(*overlap.values)), row_min)
+    dp_left, left_work = _chain_dp(instance, list(zip(*overlap.values)), row_min, row_min_filled=True)
     if counters is not None:
         counters.dp_right += right_work
         counters.dp_left += left_work
