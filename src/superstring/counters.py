@@ -45,16 +45,20 @@ class Counters:
         # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n
         # for n >= 2; a single string returns before any work, all counts 0.
         # window_scan counts the absorbed-shape work: anchor windows a scan
-        # visits plus interior placements the search tries (memoised
-        # feasibility answers try none).  The search has no tight polynomial
-        # shape, so its bound is the product of its loop ranges
-        # (anchor/interior-set choices, window cells, placement tree) and is
-        # deliberately loose.  glue_scan counts the left/right chain splits
-        # tried for a two-anchor shape, anchored or absorbed, whose window
-        # beat the incumbent minus the shape's glue lower bound: 2^|outside|
-        # per scan, one per submask of the strings outside (l, m, r,
-        # interiors).  Summed over the interior sets of one (m, l, r) that
-        # is at most 3^(n-3), pruned or not
+        # visits plus interior placements the search tries, fewest options
+        # first (answers memoised in a cover, which is kept for the whole
+        # mistake string, try none; a set the sweep skips in a block visits
+        # nothing).  Cutoffs come from one incumbent carried through the
+        # mistake strings in index order, so the count depends on that order.
+        # The search has no tight polynomial shape, so its bound is the
+        # product of its loop ranges (anchor/interior-set choices, window
+        # cells, placement tree) and is deliberately loose.  glue_scan
+        # counts the left/right chain splits tried for a two-anchor shape,
+        # anchored or absorbed, whose window beat the carried incumbent
+        # minus the shape's glue lower bound: 2^|outside| per scan, one per
+        # submask of the strings outside (l, m, r, interiors).  Summed over
+        # the interior sets of one (m, l, r) that is at most 3^(n-3), pruned
+        # or not
         return {
             "pair_build": 2 * n * (n - 1) * c * c,
             "core_scan": n ** 3 * (3 * c) ** 2,

@@ -50,21 +50,32 @@ shapes.
 Absorbed shapes are searched by one placement engine per mistake string m
 (``_Placer``).  Every string short enough to fit strictly inside m is
 packed once, at each inner offset, into integers: character codes, a span
-mask and a mask of its disagreements with m.  Anchor windows for a pair
+mask and a mask of its disagreements with m; a placement that alone
+disagrees with m beyond the budget is dropped.  Anchor windows for a pair
 (l?, r?) are built lazily in ascending (length, start) order and kept only
 while the scans stay on that pair; each window carries the cover its
-anchors fix and, per string, the placements that agree with it within
-budget.  Whether an interior set fits under a cover is a bitwise depth-first
-search, memoised per m, so the composition loop, which enumerates only
-interior sets drawn from the strings that fit, pay for each distinct
-question once.  Reconstruction asks the same engine for the winning
-offsets.
+anchors fix.  Covers are kept per m, across anchor pairs, each with the
+placements per string that agree with it within budget and a memo of the
+interior sets asked about, so the composition loop, which enumerates only
+interior sets drawn from the strings that fit, pays for each distinct
+question once.  Whether a set fits under a cover is a bitwise depth-first
+search that places the strings with the fewest options first (fail-first);
+the answer does not depend on the order.  Reconstruction asks the same
+engine for the winning offsets, placing the strings in index order.
+
+Every absorbed shape's interior sets are tried in descending mask order,
+and whole blocks of them are skipped when the first set of a block cannot
+beat the incumbent even with the shortest window its anchors allow: every
+later set of the block has a larger outside set, so no smaller glue
+(``_candidates_for_m`` has the proof).
 
 Candidates are tuples ``(length, kind, m, l, r, interior_mask,
 partition_mask)``, where the partition mask is the left chain's share of
-the strings outside the window.  The answer is the least candidate in that
-order, with one exception: interior sets are tried in descending mask order
-and a window scan only reports a window strictly shorter than the
+the strings outside the window.  One incumbent is carried through every
+mistake string, and a candidate replaces it iff its (length, kind) is
+smaller.  The answer is the least candidate in tuple order, with one
+exception: interior sets are tried in descending mask order and, within
+one m, a window scan only reports a window strictly shorter than the
 incumbent, so among equal-length absorbed candidates of one (kind, m, l, r)
 the first set tried, the one with the largest mask, wins.  The enumeration
 order is fixed, so the reported answer, witness and offsets are
@@ -157,6 +168,8 @@ def _search(options, order, i, value, covered, cost, k, counters):
     Depth first over strings in `order`, offsets ascending.  A placement
     must agree with every covered position, and the positions where the
     covered characters differ from the mistake string may not exceed k.
+    Whether a placement exists does not depend on `order`; which one is
+    found first does.
     """
     e = order[i]
     last = i + 1 == len(order)
@@ -193,10 +206,11 @@ class _Placer:
     ascending (length, start), keeping those whose anchors cost at most k.
     They are built one length at a time, only as far as a cutoff asks, and
     kept only while the scans stay on one anchor pair (l, r), -1 meaning
-    absent.  Each window holds the cover its anchors fix and, per string,
-    the placements that agree with that cover within budget.  Whether an
-    interior set fits depends only on the cover, so that answer is memoised
-    per m, across anchor pairs.
+    absent.  Each window holds the cover its anchors fix.  Covers live as
+    long as the placer, across anchor pairs: each holds, per string, the
+    placements that agree with it within budget, the fitting strings by
+    number of placements, and the answers to the interior sets asked, since
+    whether a set fits depends only on the cover.
     """
 
     def __init__(self, instance, table, m, fits, counters):
@@ -395,38 +409,41 @@ def _candidates_for_m(instance, tables, m, best, counters):
 
     One loop over (kind, l, r) shapes in ascending order.  An anchored shape
     has one interior set, the empty one; an absorbed shape tries the
-    non-empty ones in descending mask order (``_submasks``).  `best` is the
-    incumbent carried over from the earlier mistake strings, and a candidate
-    replaces it iff its (length, kind) is smaller.  Within one m kinds
-    ascend, so there this is the strict length test: among equal-length
-    candidates the first one tried wins, the least (kind, l, r) and, for one
-    absorbed (kind, l, r), the largest interior mask.  Across m it gives the
-    least (length, kind, m), as a minimum over the m would.  Every shape's
-    glue and chain split come from ``_glue``.
+    non-empty ones in descending mask order, the order of ``_submasks``.
+    `best` is the incumbent carried over from the earlier mistake strings,
+    and a candidate replaces it iff its (length, kind) is smaller.  Within
+    one m kinds ascend, so there this is the strict length test: among
+    equal-length candidates the first one tried wins, the least (kind, l, r)
+    and, for one absorbed (kind, l, r), the largest interior mask.  Across m
+    it gives the least (length, kind, m), as a minimum over the m would.
+    Every shape's glue and chain split come from ``_glue``.
 
     Window first, glue second: a shape with both anchors asks for its window
     against a lower bound on its glue, and scans its chain splits only when
     a window comes back.
 
-    Block skip.  Let `shortest` be the merge core of the shape's anchors and
-    m (|m| with no anchors), and `cutoff` the least length that cannot win,
-    best[0] + (kind < best[1]).  When a set S has no glue or its glue
-    bound `floor` has floor + shortest >= cutoff, S is skipped together with
-    the sets that follow it in descending order and agree with S above its
-    lowest missing pool bit b: S holds every pool bit below b, so they are
-    exactly the subsets of S with those bits in any state, a contiguous run
-    that ends at S with them cleared.  Each T of them fails the same test:
-    - T is a subset of S, so its outside set is a superset of S's, and the
-      glue never falls as the outside set grows (a string dropped from a
-      chain of substring-free strings never lengthens it: when its
-      neighbours' overlaps with it reach past each other inside it, they
-      overlap each other by at least as much), nor does ``row_min``, or the
-      row_min bound; with no anchors the glue stays None;
-    - no absorbed window is shorter than the merge core, which is the
-      shortest window holding the anchors and m at all;
-    - the cutoff never rises while the shape is searched.
-    A skipped set would have found no window, and found none at no counted
-    cost, since no anchor window is shorter than the merge core either.
+    Block skip.  The pool is the strings that fit inside m, anchors
+    excepted; `shortest` is the merge core of the shape's anchors and m
+    (|m| with no anchors), and `cutoff` the least length that cannot win,
+    best[0] + (kind < best[1]).  When a set S has no glue, or its glue (or
+    glue bound) `floor` has floor + shortest >= cutoff, S is skipped along
+    with the sets that follow it in descending order and agree with S above
+    its lowest missing pool bit b.  S holds every pool bit below b, so these
+    are exactly the subsets of S with those bits in any state: a contiguous
+    run that ends at S with them cleared.  Every T in the run fails the
+    same test, so none of them could win:
+    - T is a subset of S, so its outside set holds S's.  Dropping a string
+      e from a chain p e q of substring-free strings never lengthens it: if
+      overlap(p, e) + overlap(e, q) > |e|, p's suffix and q's prefix meet
+      inside e, so overlap(p, q) >= overlap(p, e) + overlap(e, q) - |e|.
+      Hence no chain over a larger set is shorter: not the one-sided glue,
+      not the split glue, not ``row_min`` and not the row_min bound; with
+      no anchors the glue stays None.
+    - No absorbed window is shorter than the merge core, the shortest window
+      that holds the anchors and m at all.
+    - The cutoff never rises while one shape is searched.
+    An anchored shape's one set takes the same test, which for it is the
+    window test, since its window is the merge core.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]

@@ -15,8 +15,18 @@ from superstring.cli import GeneratorParams, generate_instance
 from superstring.instance import InstanceError
 from superstring.counters import Counters
 from superstring.oracle import OracleLimits
-from superstring.solver import _Placer, _bit, _glue, _solve_tables, _submasks
+from superstring.solver import (
+    _Placer,
+    _bit,
+    _bits,
+    _candidates_for_m,
+    _glue,
+    _search,
+    _solve_tables,
+    _submasks,
+)
 from conftest import random_valid_instance
+from test_golden import golden_instance
 
 
 def test_single_string():
@@ -289,14 +299,25 @@ def test_split_glue_lower_bound_holds():
 
 
 def test_glue_and_window_never_shrink_as_sets_grow():
-    # one more string outside never makes the glue shorter, and one more
-    # string inside never makes the first window shorter, for every anchor
-    # pair, absent anchors included; None (nothing fits) counts as infinite
+    # one more string outside never makes the glue shorter, nor the shortest
+    # chain over a mask, and one more string inside never makes the first
+    # window shorter, for every anchor pair, absent anchors included; None
+    # (nothing fits) counts as infinite.  No window is shorter than the merge
+    # core of its anchors (|m| with none), and under every cover a set fits
+    # in the fail-first order iff it fits in index order: the absorbed sweep
+    # skips blocks of interior sets on these facts
     def longer_or_equal(grown, base):
         return grown is None or (base is not None and grown[0] >= base[0])
 
+    def core_length(cores, m, l, r):
+        if l >= 0 and r >= 0:
+            return cores.triple[l, m, r].length
+        if l >= 0:
+            return cores.pair_left[l, m].length
+        return cores.pair_right[m, r].length if r >= 0 else None
+
     rng = random.Random(20261020)
-    glue_pairs = window_pairs = 0
+    glue_pairs = window_pairs = row_pairs = searches = 0
     for draw in range(120):
         n = 3 + draw % 5
         params = GeneratorParams(n, 2, 8, rng.randint(2, 4))
@@ -306,6 +327,12 @@ def test_glue_and_window_never_shrink_as_sets_grow():
             continue
         tables = _solve_tables(inst, Counters())
         lengths = [len(s) for s in inst.strings]
+        row_min = tables.subsets.row_min
+        for mask in range(1 << n):
+            for e in range(n):
+                if not mask >> e & 1:
+                    assert row_min[mask | 1 << e] >= row_min[mask], (inst.strings, mask, e)
+                    row_pairs += 1
         anchor_pairs = [(l, r) for l in range(-1, n) for r in range(-1, n) if not l == r >= 0]
         for l, r in anchor_pairs:
             anchors = _bit(l) | _bit(r)
@@ -326,15 +353,66 @@ def test_glue_and_window_never_shrink_as_sets_grow():
             for l, r in anchor_pairs:
                 if m in (l, r):
                     continue
+                shortest = core_length(tables.cores, m, l, r) or lengths[m]
                 inner = fits & ~(_bit(l) | _bit(r))
                 for interior in _submasks(inner):
                     if not interior:
                         continue
                     base = placer.first_window(l, r, interior, cutoff)
+                    assert base is None or base[0] >= shortest, (inst.strings, m, l, r, interior)
                     for e in range(n):
                         if (inner & ~interior) >> e & 1:
                             grown = placer.first_window(l, r, interior | 1 << e, cutoff)
                             assert longer_or_equal(grown, base), (inst.strings, m, l, r, interior, e)
                             window_pairs += 1
-    print(f"monotonicity: {glue_pairs} glue pairs, {window_pairs} window pairs")
+            for cover in placer.covers.values():
+                if cover is None:
+                    continue
+                value, covered, cost, options, fitting, rank, _ = cover
+                assert sorted(rank) == _bits(fitting, n)
+                for interior in _submasks(fitting):
+                    if not interior:
+                        continue
+                    ranked = [e for e in rank if interior >> e & 1]
+                    by_index = _bits(interior, n)
+                    fit = [
+                        _search(options, order, 0, value, covered, cost, inst.k, Counters()) is not None
+                        for order in (ranked, by_index)
+                    ]
+                    assert fit[0] == fit[1], (inst.strings, m, value, covered, interior)
+                    searches += 1
+    print(
+        f"monotonicity: {glue_pairs} glue pairs, {window_pairs} window pairs, "
+        f"{row_pairs} row pairs, {searches} rank/index searches"
+    )
     assert glue_pairs > 100_000 and window_pairs > 1_000, (glue_pairs, window_pairs)
+    assert row_pairs > 10_000 and searches > 1_000, (row_pairs, searches)
+
+
+def test_carried_incumbent_equals_the_least_candidate_of_every_m():
+    # solve threads one incumbent through the mistake strings; that must
+    # give the least tuple of restarting every m from the baseline, which a
+    # later m reaches on a length tie only with a smaller kind
+    rng = random.Random(20261021)
+    instances = []
+    for draw in range(80):
+        params = GeneratorParams(rng.randint(3, 8), 2, 9, rng.randint(2, 4))
+        try:
+            instances.append(generate_instance(params, rng.randrange(10**9), rng.randint(0, 4)))
+        except InstanceError:  # too few binary strings free of containment
+            continue
+    instances += [golden_instance(seed) for seed in range(20261100, 20261140)]
+    later_ties = 0
+    for inst in instances:
+        tables = _solve_tables(inst, Counters())
+        baseline = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+        carried = baseline
+        for m in range(inst.n):
+            carried = _candidates_for_m(inst, tables, m, carried, Counters())
+        restarted = [_candidates_for_m(inst, tables, m, baseline, Counters()) for m in range(inst.n)]
+        assert carried == min(restarted), inst.strings
+        # the winner comes after an m that reaches its length with a larger kind
+        first_at_length = min(i for i, cand in enumerate(restarted) if cand[0] == carried[0])
+        later_ties += carried[1] != 0 and carried[2] != first_at_length
+    print(f"carried incumbent: {len(instances)} instances, {later_ties} later ties")
+    assert len(instances) >= 100 and later_ties >= 5, (len(instances), later_ties)
