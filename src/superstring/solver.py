@@ -63,11 +63,17 @@ search that places the strings with the fewest options first (fail-first);
 the answer does not depend on the order.  Reconstruction asks the same
 engine for the winning offsets, placing the strings in index order.
 
-Every absorbed shape's interior sets are tried in descending mask order,
-and whole blocks of them are skipped when the first set of a block cannot
-beat the incumbent even with the shortest window its anchors allow: every
-later set of the block has a larger outside set, so no smaller glue
-(``_candidates_for_m`` has the proof).
+Before any window is built or visited, a set is asked about once under the
+bare cover, the one with nothing fixed and no budget spent.  An anchor
+window's cover only fixes more characters and spends more budget, so
+placements that fit under it fit under the bare cover too: a set that does
+not fit there fits under no window, and the walk is skipped.  This is the
+relaxation bound of branch and bound, applied once per set and mistake
+string; most sets of an absorbed sweep stop at it.
+
+Every absorbed shape's interior sets are tried in descending mask order.  A
+set whose glue, or glue bound, plus the shortest window its anchors allow
+cannot beat the incumbent asks for no window at all.
 
 Candidates are tuples ``(length, kind, m, l, r, interior_mask,
 partition_mask)``, where the partition mask is the left chain's share of
@@ -135,16 +141,6 @@ class _Tables:
     subsets: SubsetTable
 
 
-def _submasks(mask: int):
-    """All submasks of mask, descending, including mask itself and 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _bit(i: int) -> int:
     """The mask of string i, or 0 for an absent anchor (-1)."""
     return 1 << i if i >= 0 else 0
@@ -210,7 +206,9 @@ class _Placer:
     long as the placer, across anchor pairs: each holds, per string, the
     placements that agree with it within budget, the fitting strings by
     number of placements, and the answers to the interior sets asked, since
-    whether a set fits depends only on the cover.
+    whether a set fits depends only on the cover.  The bare cover, with
+    nothing fixed, is built first; every set is asked about under it before
+    any window, and it is also the cover of the window with no anchors.
     """
 
     def __init__(self, instance, table, m, fits, counters):
@@ -243,6 +241,8 @@ class _Placer:
             # a placement that alone disagrees with m beyond budget never fits
             self.placements[e] = tuple(p for p in packed if p[3].bit_count() <= self.k)
         self.covers: dict[tuple[int, int], tuple | None] = {}
+        # nothing fixed: a set that does not fit here fits under no window
+        self.bare = self.covers[0, 0] = self._cover(0, 0)
         self.anchors = None
 
     def _use_anchors(self, l, r):
@@ -314,12 +314,31 @@ class _Placer:
         rank = sorted(_bits(fitting, len(options)), key=lambda e: len(options[e]))
         return value, covered, cost, options, fitting, rank, {}
 
+    def holds(self, cover, interior_mask):
+        """Whether every string of interior_mask fits under a cover at once, memoised in it."""
+        value, covered, cost, options, fitting, rank, memo = cover
+        if interior_mask & ~fitting:
+            return False
+        hit = memo.get(interior_mask)
+        if hit is None:
+            # whether a set fits does not depend on the order it is placed
+            # in; fewest options first fails soonest
+            order = [e for e in rank if interior_mask >> e & 1]
+            found = _search(options, order, 0, value, covered, cost, self.k, self.counters)
+            hit = memo[interior_mask] = found is not None
+        return hit
+
     def first_window(self, l, r, interior_mask, cutoff):
         """(length, start, cover) of the first window below cutoff holding interior_mask, or None.
 
         The window holds m, the anchors l and r, and every string of
-        interior_mask strictly inside m.
+        interior_mask strictly inside m.  A window's cover only adds fixed
+        characters to the bare one, and its cost, so a set that does not fit
+        under the bare cover fits under no window: it is turned away before
+        any window is built or visited.
         """
+        if not self.holds(self.bare, interior_mask):
+            return None
         if self.anchors != (l, r):
             self._use_anchors(l, r)
         counters = self.counters
@@ -331,17 +350,7 @@ class _Placer:
                 groups.append(self._group(length))
             for start, cover in groups[i]:
                 counters.window_scan += 1
-                value, covered, cost, options, fitting, rank, memo = cover
-                if interior_mask & ~fitting:
-                    continue
-                hit = memo.get(interior_mask)
-                if hit is None:
-                    # whether a set fits does not depend on the order it is
-                    # placed in; fewest options first fails soonest
-                    order = [e for e in rank if interior_mask >> e & 1]
-                    found = _search(options, order, 0, value, covered, cost, self.k, counters)
-                    hit = memo[interior_mask] = found is not None
-                if hit:
+                if self.holds(cover, interior_mask):
                     return length, start, cover
         return None
 
@@ -409,41 +418,26 @@ def _candidates_for_m(instance, tables, m, best, counters):
 
     One loop over (kind, l, r) shapes in ascending order.  An anchored shape
     has one interior set, the empty one; an absorbed shape tries the
-    non-empty ones in descending mask order, the order of ``_submasks``.
-    `best` is the incumbent carried over from the earlier mistake strings,
-    and a candidate replaces it iff its (length, kind) is smaller.  Within
-    one m kinds ascend, so there this is the strict length test: among
-    equal-length candidates the first one tried wins, the least (kind, l, r)
-    and, for one absorbed (kind, l, r), the largest interior mask.  Across m
-    it gives the least (length, kind, m), as a minimum over the m would.
-    Every shape's glue and chain split come from ``_glue``.
+    non-empty ones in descending mask order.  `best` is the incumbent
+    carried over from the earlier mistake strings, and a candidate replaces
+    it iff its (length, kind) is smaller.  Within one m kinds ascend, so
+    there this is the strict length test: among equal-length candidates the
+    first one tried wins, the least (kind, l, r) and, for one absorbed
+    (kind, l, r), the largest interior mask.  Across m it gives the least
+    (length, kind, m), as a minimum over the m would.  Every shape's glue
+    and chain split come from ``_glue``.
 
     Window first, glue second: a shape with both anchors asks for its window
     against a lower bound on its glue, and scans its chain splits only when
     a window comes back.
 
-    Block skip.  The pool is the strings that fit inside m, anchors
-    excepted; `shortest` is the merge core of the shape's anchors and m
-    (|m| with no anchors), and `cutoff` the least length that cannot win,
-    best[0] + (kind < best[1]).  When a set S has no glue, or its glue (or
-    glue bound) `floor` has floor + shortest >= cutoff, S is skipped along
-    with the sets that follow it in descending order and agree with S above
-    its lowest missing pool bit b.  S holds every pool bit below b, so these
-    are exactly the subsets of S with those bits in any state: a contiguous
-    run that ends at S with them cleared.  Every T in the run fails the
-    same test, so none of them could win:
-    - T is a subset of S, so its outside set holds S's.  Dropping a string
-      e from a chain p e q of substring-free strings never lengthens it: if
-      overlap(p, e) + overlap(e, q) > |e|, p's suffix and q's prefix meet
-      inside e, so overlap(p, q) >= overlap(p, e) + overlap(e, q) - |e|.
-      Hence no chain over a larger set is shorter: not the one-sided glue,
-      not the split glue, not ``row_min`` and not the row_min bound; with
-      no anchors the glue stays None.
-    - No absorbed window is shorter than the merge core, the shortest window
-      that holds the anchors and m at all.
-    - The cutoff never rises while one shape is searched.
-    An anchored shape's one set takes the same test, which for it is the
-    window test, since its window is the merge core.
+    The pool is the strings that fit inside m, anchors excepted; `shortest`
+    is the merge core of the shape's anchors and m (|m| with no anchors),
+    the shortest window that holds them at all, and `cutoff` the least
+    length that cannot win, best[0] + (kind < best[1]).  A set with no glue,
+    or whose glue (or glue bound) `floor` has floor + shortest >= cutoff,
+    asks for no window.  An anchored shape's one set takes the same test,
+    which for it is the window test, since its window is the merge core.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -495,10 +489,8 @@ def _candidates_for_m(instance, tables, m, best, counters):
                 glue = _glue(subsets, lengths, l, r, outside, counters)
                 floor = None if glue is None else glue[0]
             cutoff = best[0] + (kind < best[1])
-            if floor is None or floor + shortest >= cutoff:
-                missing = pool & ~interior
-                interior &= ~((missing & -missing) - 1) if missing else 0
-            else:
+            # no window is shorter than the merge core of the anchors and m
+            if floor is not None and floor + shortest < cutoff:
                 # the window is the shortest below the cutoff whatever the
                 # cutoff, so a bound in place of the glue finds the same one
                 found = _window(cores, placer, m, l, r, interior, cutoff - floor)
@@ -507,8 +499,7 @@ def _candidates_for_m(instance, tables, m, best, counters):
                         glue = _glue(subsets, lengths, l, r, outside, counters)
                     if (glue[0] + found[0], kind) < best[:2]:
                         best = (glue[0] + found[0], kind, m, l, r, interior, glue[1])
-            if interior:
-                interior = (interior - 1) & pool
+            interior = (interior - 1) & pool
             if not interior:
                 break
 

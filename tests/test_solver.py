@@ -23,10 +23,19 @@ from superstring.solver import (
     _glue,
     _search,
     _solve_tables,
-    _submasks,
 )
 from conftest import random_valid_instance
 from test_golden import golden_instance
+
+
+def _submasks(mask: int):
+    """All submasks of mask, descending, including mask itself and 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def test_single_string():
@@ -303,9 +312,10 @@ def test_glue_and_window_never_shrink_as_sets_grow():
     # chain over a mask, and one more string inside never makes the first
     # window shorter, for every anchor pair, absent anchors included; None
     # (nothing fits) counts as infinite.  No window is shorter than the merge
-    # core of its anchors (|m| with none), and under every cover a set fits
-    # in the fail-first order iff it fits in index order: the absorbed sweep
-    # skips blocks of interior sets on these facts
+    # core of its anchors (|m| with none), under every cover a set fits in
+    # the fail-first order iff it fits in index order, and a set that fits
+    # under any cover fits under the bare one: the absorbed sweep skips
+    # interior sets on these facts
     def longer_or_equal(grown, base):
         return grown is None or (base is not None and grown[0] >= base[0])
 
@@ -317,7 +327,7 @@ def test_glue_and_window_never_shrink_as_sets_grow():
         return cores.pair_right[m, r].length if r >= 0 else None
 
     rng = random.Random(20261020)
-    glue_pairs = window_pairs = row_pairs = searches = 0
+    glue_pairs = window_pairs = row_pairs = searches = bare_fits = 0
     for draw in range(120):
         n = 3 + draw % 5
         params = GeneratorParams(n, 2, 8, rng.randint(2, 4))
@@ -365,6 +375,11 @@ def test_glue_and_window_never_shrink_as_sets_grow():
                             grown = placer.first_window(l, r, interior | 1 << e, cutoff)
                             assert longer_or_equal(grown, base), (inst.strings, m, l, r, interior, e)
                             window_pairs += 1
+                # the bare cover turns most sets away before any window is
+                # built, so build every window's cover for the checks below
+                placer._use_anchors(l, r)
+                for length in placer.lengths:
+                    placer._group(length)
             for cover in placer.covers.values():
                 if cover is None:
                     continue
@@ -381,12 +396,16 @@ def test_glue_and_window_never_shrink_as_sets_grow():
                     ]
                     assert fit[0] == fit[1], (inst.strings, m, value, covered, interior)
                     searches += 1
+                    if fit[0] and cover is not placer.bare:
+                        assert placer.holds(placer.bare, interior), (inst.strings, m, value, covered, interior)
+                        bare_fits += 1
     print(
         f"monotonicity: {glue_pairs} glue pairs, {window_pairs} window pairs, "
-        f"{row_pairs} row pairs, {searches} rank/index searches"
+        f"{row_pairs} row pairs, {searches} rank/index searches, {bare_fits} bare fits"
     )
     assert glue_pairs > 100_000 and window_pairs > 1_000, (glue_pairs, window_pairs)
     assert row_pairs > 10_000 and searches > 1_000, (row_pairs, searches)
+    assert bare_fits > 1_000, bare_fits
 
 
 def test_carried_incumbent_equals_the_least_candidate_of_every_m():
