@@ -46,10 +46,15 @@ class Counters:
         # for n >= 2; a single string returns before any work, all counts 0.
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries, fewest options
-        # first (answers memoised in a cover, which is kept for the whole
-        # mistake string, try none; a set the sweep skips in a block visits
-        # nothing).  Cutoffs come from one incumbent carried through the
-        # mistake strings in index order, so the count depends on that order.
+        # first, under a window's cover or under the bare cover (nothing
+        # fixed) that every set is asked about before any window; answers
+        # memoised in a cover, which is kept for the whole mistake string,
+        # try none, and a set the sweep passes over visits nothing.  A set
+        # that fails under the bare cover visits no window, and on a few
+        # instances its bare search tries more placements than the windows
+        # it saves would have.  Cutoffs come from one incumbent carried
+        # through the mistake strings in index order, so the count depends
+        # on that order.
         # The search has no tight polynomial shape, so its bound is the
         # product of its loop ranges (anchor/interior-set choices, window
         # cells, placement tree) and is deliberately loose.  glue_scan
