@@ -378,17 +378,17 @@ def _glue(subsets, lengths, l, r, outside, counters):
     if l < 0 and r < 0:
         return None if outside else (0, 0)
     if r < 0:
-        return subsets.dp_right[outside | 1 << l][l] - lengths[l], outside
+        return subsets.dp_right[l][outside | 1 << l] - lengths[l], outside
     if l < 0:
-        return subsets.dp_left[outside | 1 << r][r] - lengths[r], 0
+        return subsets.dp_left[r][outside | 1 << r] - lengths[r], 0
     counters.glue_scan += 1 << outside.bit_count()
-    dp_right, dp_left = subsets.dp_right, subsets.dp_left
+    ends_l, starts_r = subsets.dp_right[l], subsets.dp_left[r]
     bit_l, bit_r = 1 << l, 1 << r
     sub = best_sub = outside
-    best = dp_right[outside | bit_l][l] + dp_left[bit_r][r]
+    best = ends_l[outside | bit_l] + starts_r[bit_r]
     while sub:
         sub = (sub - 1) & outside
-        value = dp_right[sub | bit_l][l] + dp_left[(outside ^ sub) | bit_r][r]
+        value = ends_l[sub | bit_l] + starts_r[(outside ^ sub) | bit_r]
         if value <= best:
             best, best_sub = value, sub
     return best - lengths[l] - lengths[r], best_sub
@@ -577,7 +577,7 @@ def _chain(instance, tables, mask: int, end: int, rightmost: bool) -> list[tuple
         cur = min(
             p
             for p in range(instance.n)
-            if rest & (1 << p) and dp[rest][p] + lengths[cur] - gain[p][cur] == dp[mask][cur]
+            if rest & (1 << p) and dp[p][rest] + lengths[cur] - gain[p][cur] == dp[cur][mask]
         )
         order.append(cur)
         mask = rest
@@ -598,7 +598,7 @@ def _assemble(instance, tables, best) -> tuple[str, list[int]]:
     full = (1 << n) - 1
 
     if kind == _BASELINE:
-        last = tables.subsets.dp_right[full].index(length)
+        last = next(j for j in range(n) if tables.subsets.dp_right[j][full] == length)
         placed = _chain(instance, tables, full, last, rightmost=True)
     else:
         placer = None
@@ -615,7 +615,7 @@ def _assemble(instance, tables, best) -> tuple[str, list[int]]:
         window_start = 0
         if l >= 0:
             placed = _chain(instance, tables, left_mask, l, rightmost=True)
-            window_start = tables.subsets.dp_right[left_mask][l] - lengths[l]
+            window_start = tables.subsets.dp_right[l][left_mask] - lengths[l]
         placed.append((m, window_start + m_start))
         placed.extend((e, window_start + m_start + off) for e, off in sorted(inner.items()))
         if r >= 0:

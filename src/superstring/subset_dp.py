@@ -5,32 +5,71 @@ equals the length-t prefix of string v.  Because no input may contain
 another, t is strictly below both lengths for w != v; the diagonal is set to
 the string's own length by convention and never read by the tables below.
 
-``dp_right[mask][j]`` is the length of the shortest string containing every
+``dp_right[j][mask]`` is the length of the shortest string containing every
 input named by ``mask`` exactly, arranged as a chain glued at maximal clean
 overlaps, with string j the rightmost link.  ``dp_left`` has j as the
 leftmost link.  It is not a separate mirror: it is the same recurrence run
 on the transposed overlap table, since prepending j to a chain that starts
-with p gains overlap(j, p), the transposed entry (p, j).  Masks are iterated
+with p gains overlap(j, p), the transposed entry (p, j).  Masks are filled
 in increasing order so every submask is ready when needed.
 
-The Held-Karp recurrence ``dp[mask][j] = |s_j| + min over p in rest of
-(dp[rest][p] - overlap(p, j))``, rest = mask - j, is evaluated from row
+The Held-Karp recurrence ``dp[j][mask] = |s_j| + min over p in rest of
+(dp[p][rest] - overlap(p, j))``, rest = mask - j, is evaluated from row
 minima.  Overlaps are never negative, so every term is at most its entry
-dp[rest][p]: the least entry of row rest, ``row_min[rest]``, is never below
+dp[p][rest]: the least entry of row rest, ``row_min[rest]``, is never below
 the true minimum, and no term of a predecessor with overlap 0 is below it.
 The minimum is therefore the smaller of ``row_min[rest]`` and the terms of
 the predecessors with a positive overlap, and only those are read.  A row's
 minimum is the shortest chain over its mask, whichever end is fixed, so
-both tables share one list of row minima.
+both tables share one array of row minima.
+
+Layout.  Each table is one column per end string j: an ``array`` of 2^n
+unsigned fields of w bits, indexed by mask.  An entry whose mask lacks j
+holds the sentinel ``never = 2^(w-1) - 1``; the typecode is the narrowest of
+H, I, L, Q with ``sum(lengths) + max(lengths) < never``, so every entry, and
+every entry plus one more string, lies below it.  Row minima are an array of
+the same typecode.
+
+Word-parallel fill.  Rows are filled in chunks of 2^4 (``_ROW_BITS``).  In
+a chunk, the members j < 4 of each row are filled entry by entry.  After a
+chunk that ends at row ``end``, with j the lowest set bit of ``end``, column
+j over rows [end, end + 2^j) is the one slice that has just become ready: its
+rest rows are [end - 2^j, end), all complete.  That slice is computed as one
+integer per operand (SWAR): the 2^j fields of ``row_min`` and of each
+positive-overlap predecessor's column over the rest rows are read with
+``int.from_bytes``, and
+
+- ``gain`` is subtracted from every field of a predecessor at once.  No
+  borrow crosses a field: an entry is at least |s_p|, which is more than
+  overlap(p, j), and the sentinel is larger still.
+- fieldwise minima use the top bit of each field as a guard.  Every value
+  is below 2^(w-1), so ``(best | guard) - term`` keeps each field in
+  (0, 2^w) without a borrow, and its guard bit is set exactly where
+  best >= term; that bit, moved to the bottom of the field and multiplied by
+  2^w - 1, masks the fields that take ``term``.
+- |s_j| is added to every field, which stays below the sentinel since the
+  minimum is at most row_min, a real chain.
+
+The result is written back with ``to_bytes``, and folded by the same minimum
+into a running per-row minimum of the columns j >= 4, which the row's own
+chunk finishes with its entries j < 4.  Every column j >= 4 of a row comes
+from a slice that starts at or below the row's chunk, so it is written
+before that chunk is filled.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .counters import Counters
 from .instance import Instance
+
+# rows per chunk of the scalar step, 2^_ROW_BITS; columns j >= _ROW_BITS
+# are filled word-parallel, a whole column slice per operation
+_ROW_BITS = 4
 
 
 @dataclass
@@ -43,15 +82,19 @@ class OverlapTable:
 
 @dataclass
 class SubsetTable:
-    """Dense 2^n x n grids; entries for j outside mask stay None.
+    """One column per end string: ``dp_right[j][mask]``, ``dp_left[j][mask]``.
 
+    Each column is an ``array`` of 2^n unsigned fields of w bits (typecode
+    H, I, L or Q, the narrowest that holds the instance); an entry whose
+    mask lacks j holds the sentinel 2^(w-1) - 1, above every real entry.
     ``row_min[mask]`` is the least entry of row mask, the same in both
-    tables (0 for the empty mask): the shortest chain over mask.
+    tables (0 for the empty mask): the shortest chain over mask.  It is an
+    array of the same typecode.
     """
 
-    dp_right: list[list[int | None]]
-    dp_left: list[list[int | None]]
-    row_min: list[int]
+    dp_right: list[array]
+    dp_left: list[array]
+    row_min: array
 
 
 def max_clean_overlap(left: str, right: str) -> int:
@@ -80,57 +123,111 @@ def build_overlap_table(instance: Instance) -> OverlapTable:
     return OverlapTable(values)
 
 
+def _row_minima(instance: Instance) -> array:
+    """2^n zeroed row minima in the narrowest typecode whose sentinel is above
+    every entry plus one more string."""
+    lengths = [len(s) for s in instance.strings]
+    for code in "HIL":
+        if sum(lengths) + max(lengths) < (1 << 8 * array(code).itemsize - 1) - 1:
+            break
+    else:
+        code = "Q"
+    return array(code, [0]) * (1 << instance.n)
+
+
 def _chain_dp(
     instance: Instance,
     overlaps: Sequence[Sequence[int]],
-    row_min: list[int],
+    row_min: array,
     row_min_filled: bool = False,
-) -> tuple[list[list[int | None]], int]:
-    """``dp[mask][j]``: min over p of ``dp[mask - j][p] + |s_j| - overlaps[p][j]``.
+) -> tuple[list[array], int]:
+    """``dp[j][mask]``: min over p of ``dp[p][mask - j] + |s_j| - overlaps[p][j]``.
 
-    Walks only the members j of each mask.  Each entry starts from the
-    minimum of row ``rest = mask - j`` and reads only the predecessors of j
-    with a positive overlap, skipping those outside rest (their entry is
-    None); the module docstring says why that is exact.  ``row_min`` has
-    2^n entries and receives each row's minimum as the row is filled; its
-    empty-mask entry stays 0, so a singleton gets |s_j|.  As the minima are
-    the same in both tables, dp_left may be filled against the list dp_right
-    filled, with `row_min_filled` set so that the list is only read.
+    Columns j < _ROW_BITS are filled entry by entry, each from the minimum
+    of row ``rest = mask - j`` and the predecessors of j with a positive
+    overlap, whose sentinel entries outside rest never win; the others a
+    slice at a time (the module docstring says why both are exact).
+    ``row_min`` has 2^n entries and receives each row's minimum as the row is
+    filled; its empty-mask entry stays 0, so a singleton gets |s_j|.  As the
+    minima are the same in both tables, dp_left may be filled against the
+    array dp_right filled, with `row_min_filled` set so that it is only read.
     Returns the table and the recurrence's term count, one per (mask, j, p
     in rest) whether read or skipped: the sum of c(c-1) over masks of c
     members, n(n-1)2^(n-2).
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
-    steps = {}  # bit of j -> (j, |s_j|, predecessors p of j with their overlap, if positive)
-    for j in range(n):
-        gains = [(p, overlaps[p][j]) for p in range(n) if p != j and overlaps[p][j] > 0]
-        steps[1 << j] = (j, lengths[j], gains)
-    dp: list[list[int | None]] = [[None] * n for _ in range(1 << n)]
-    for mask in range(1, 1 << n):
-        row = dp[mask]
-        bits = mask
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            j, length, gains = steps[bit]
-            prev = dp[mask ^ bit]
-            best = row_min[mask ^ bit]
-            for p, gain in gains:
-                value = prev[p]
-                if value is not None and value - gain < best:
-                    best = value - gain
-            row[j] = best + length
+    itemsize = row_min.itemsize
+    width = 8 * itemsize
+    top = width - 1
+    field = (1 << width) - 1
+    never = (1 << top) - 1
+    order = sys.byteorder
+    from_bytes = int.from_bytes
+    code = row_min.typecode
+    dp = [array(code, [never]) * (1 << n) for _ in range(n)]
+    part = array(code, [never]) * (1 << n)  # least entry j >= _ROW_BITS
+    part[0] = 0  # the empty row's minimum
+    gains = [[(p, overlaps[p][j]) for p in range(n) if p != j and overlaps[p][j] > 0] for j in range(n)]
+    bytes_of = [memoryview(column).cast("B") for column in dp]
+    mins_bytes = memoryview(row_min).cast("B")
+    part_bytes = memoryview(part).cast("B")
+    # column j -> 2^j fields of 1, and of the guard bit alone
+    units = [(ones, ones << top) for ones in (from_bytes(array(code, [1]) * (1 << j), order) for j in range(n))]
+
+    bits = min(_ROW_BITS, n)
+    # low bits of a mask -> (2^j, |s_j|, column j, [(column p, overlap(p, j))])
+    # for its members j < bits
+    members = [
+        [(1 << j, lengths[j], dp[j], [(dp[p], gain) for p, gain in gains[j]]) for j in range(bits) if low >> j & 1]
+        for low in range(1 << bits)
+    ]
+    for start in range(0, 1 << n, 1 << bits):
+        for low, steps in enumerate(members):
+            mask = start | low
+            row_best = part[mask]
+            for bit, length, column, preds in steps:
+                rest = mask ^ bit
+                best = row_min[rest]
+                for prev, gain in preds:
+                    value = prev[rest] - gain
+                    if value < best:
+                        best = value
+                best += length
+                column[mask] = best
+                if best < row_best:
+                    row_best = best
+            if not row_min_filled:
+                row_min[mask] = row_best
+
+        end = start + (1 << bits)
+        j = (end & -end).bit_length() - 1
+        if j >= n:
+            continue
+        ones, guard = units[j]
+        size = itemsize << j
+        mid = end * itemsize
+        lo, hi = mid - size, mid + size
+        best = from_bytes(mins_bytes[lo:mid], order)
+        for p, gain in gains[j]:
+            term = from_bytes(bytes_of[p][lo:mid], order) - gain * ones
+            take = (((best | guard) - term) & guard) >> top
+            best ^= (best ^ term) & take * field
+        best += lengths[j] * ones
+        bytes_of[j][mid:hi] = best.to_bytes(size, order)
         if not row_min_filled:
-            row_min[mask] = min(filter(None, row))
+            have = from_bytes(part_bytes[mid:hi], order)
+            take = (((have | guard) - best) & guard) >> top
+            have ^= (have ^ best) & take * field
+            part_bytes[mid:hi] = have.to_bytes(size, order)
     return dp, n * (n - 1) * (1 << n) // 4
 
 
 def build_dp_right(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
-) -> list[list[int | None]]:
+) -> list[array]:
     """Fill dp_right for all non-empty masks and all members."""
-    dp, work = _chain_dp(instance, overlap.values, [0] * (1 << instance.n))
+    dp, work = _chain_dp(instance, overlap.values, _row_minima(instance))
     if counters is not None:
         counters.dp_right += work
     return dp
@@ -138,9 +235,9 @@ def build_dp_right(
 
 def build_dp_left(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
-) -> list[list[int | None]]:
+) -> list[array]:
     """Fill dp_left: the dp_right recurrence on the transposed overlap table."""
-    dp, work = _chain_dp(instance, list(zip(*overlap.values)), [0] * (1 << instance.n))
+    dp, work = _chain_dp(instance, list(zip(*overlap.values)), _row_minima(instance))
     if counters is not None:
         counters.dp_left += work
     return dp
@@ -149,8 +246,8 @@ def build_dp_left(
 def build_subset_table(
     instance: Instance, overlap: OverlapTable, counters: Counters | None = None
 ) -> SubsetTable:
-    """Both tables, filled in turn against one shared list of row minima."""
-    row_min = [0] * (1 << instance.n)
+    """Both tables, filled in turn against one shared array of row minima."""
+    row_min = _row_minima(instance)
     dp_right, right_work = _chain_dp(instance, overlap.values, row_min)
     dp_left, left_work = _chain_dp(instance, list(zip(*overlap.values)), row_min, row_min_filled=True)
     if counters is not None:

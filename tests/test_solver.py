@@ -253,13 +253,13 @@ def _plain_glue(subsets, lengths, l, r, outside, n):
     if l < 0 and r < 0:
         return None if outside else (0, 0)
     if r < 0:
-        return subsets.dp_right[outside | 1 << l][l] - lengths[l], outside
+        return subsets.dp_right[l][outside | 1 << l] - lengths[l], outside
     if l < 0:
-        return subsets.dp_left[outside | 1 << r][r] - lengths[r], 0
+        return subsets.dp_left[r][outside | 1 << r] - lengths[r], 0
     return min(
         (
-            subsets.dp_right[sub | 1 << l][l]
-            + subsets.dp_left[(outside ^ sub) | 1 << r][r]
+            subsets.dp_right[l][sub | 1 << l]
+            + subsets.dp_left[r][(outside ^ sub) | 1 << r]
             - lengths[l]
             - lengths[r],
             sub,

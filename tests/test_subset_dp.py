@@ -1,3 +1,6 @@
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superstring import (
@@ -12,6 +15,7 @@ from superstring import (
     make_instance,
     max_clean_overlap,
 )
+from superstring import subset_dp
 from superstring.cli import GeneratorParams, generate_instance
 from conftest import random_valid_instance, substring_free
 
@@ -54,6 +58,22 @@ def plain_chain_dp(lengths, overlaps) -> list[list[int | None]]:
                 dp[rest][p] - overlaps[p][j] for p in range(n) if rest >> p & 1
             )
     return dp
+
+
+def never(dp) -> int:
+    """The sentinel of a table's w-bit fields, 2^(w-1) - 1: the entry of
+    every j outside the mask."""
+    return (1 << 8 * dp[0].itemsize - 1) - 1
+
+
+def rows(dp) -> list[list[int | None]]:
+    """A table's columns ``dp[j][mask]`` read back as ``plain_chain_dp``'s
+    rows ``[mask][j]``, None where the entry is the sentinel; the sentinel
+    must lie above every other entry."""
+    off = never(dp)
+    assert all(column.typecode == dp[0].typecode for column in dp)
+    assert all(max((v for v in column if v != off), default=0) < off for column in dp)
+    return [[None if column[mask] == off else column[mask] for column in dp] for mask in range(len(dp[0]))]
 
 
 def generated(params, seed, k):
@@ -109,12 +129,14 @@ def test_dp_examples():
     overlap = build_overlap_table(inst)
     dp_right = build_dp_right(inst, overlap)
     dp_left = build_dp_left(inst, overlap)
-    assert dp_right[0b01][0] == 2  # singleton base case
-    assert dp_right[0b10][1] == 2
-    assert dp_right[0b11][1] == 3  # "abc" with bc rightmost
-    assert dp_right[0b11][0] == 4  # bc before ab, no overlap
-    assert dp_left[0b11][0] == 3
-    assert dp_left[0b11][1] == 4
+    assert dp_right[0][0b01] == 2  # singleton base case
+    assert dp_right[1][0b10] == 2
+    assert dp_right[1][0b11] == 3  # "abc" with bc rightmost
+    assert dp_right[0][0b11] == 4  # bc before ab, no overlap
+    assert dp_left[0][0b11] == 3
+    assert dp_left[1][0b11] == 4
+    assert dp_right[1][0b01] == dp_left[0][0b10] == never(dp_right) > 4  # off the mask
+    assert dp_right[0][0] == dp_right[1][0] == never(dp_right)
 
 
 def seeded_instances(base, count, **kwargs):
@@ -126,21 +148,23 @@ def test_recurrence_holds_everywhere():
         overlap = build_overlap_table(inst)
         dp_right = build_dp_right(inst, overlap)
         lengths = [len(s) for s in inst.strings]
+        off = never(dp_right)
+        assert off > sum(lengths) + max(lengths)
         for mask in range(1, 1 << inst.n):
             for j in range(inst.n):
                 if not mask & (1 << j):
-                    assert dp_right[mask][j] is None
+                    assert dp_right[j][mask] == off
                     continue
                 if mask == 1 << j:
-                    assert dp_right[mask][j] == lengths[j]
+                    assert dp_right[j][mask] == lengths[j]
                     continue
                 rest = mask ^ (1 << j)
                 expected = min(
-                    dp_right[rest][p] + lengths[j] - overlap.get(p, j)
+                    dp_right[p][rest] + lengths[j] - overlap.get(p, j)
                     for p in range(inst.n)
                     if rest & (1 << p)
                 )
-                assert dp_right[mask][j] == expected
+                assert dp_right[j][mask] == expected
 
 
 def test_extension_upper_bound():
@@ -155,7 +179,7 @@ def test_extension_upper_bound():
                 bigger = mask | (1 << j)
                 for p in range(inst.n):
                     if mask & (1 << p):
-                        assert dp_right[bigger][j] <= dp_right[mask][p] + lengths[j]
+                        assert dp_right[j][bigger] <= dp_right[p][mask] + lengths[j]
 
 
 def test_reversal_duality():
@@ -171,7 +195,7 @@ def test_full_mask_equals_permutation_oracle():
         overlap = build_overlap_table(inst)
         dp_right = build_dp_right(inst, overlap)
         full = (1 << inst.n) - 1
-        best = min(dp_right[full][j] for j in range(inst.n))
+        best = min(dp_right[j][full] for j in range(inst.n))
         assert best == brute_force_scs(inst)
 
 
@@ -187,7 +211,7 @@ def test_dp_bounds(strings):
     for mask in range(1, 1 << inst.n):
         members = [i for i in range(inst.n) if mask & (1 << i)]
         for j in members:
-            value = dp_right[mask][j]
+            value = dp_right[j][mask]
             assert max(lengths[i] for i in members) <= value <= sum(lengths[i] for i in members)
 
 
@@ -204,16 +228,56 @@ def test_row_minimum_recurrence_equals_the_plain_one():
                 table = build_subset_table(inst, overlap)
                 assert table.dp_right == build_dp_right(inst, overlap)
                 assert table.dp_left == build_dp_left(inst, overlap)
-                assert table.dp_right == plain_chain_dp(lengths, overlap.values)
-                assert table.dp_left == plain_chain_dp(lengths, list(zip(*overlap.values)))
+                right, left = rows(table.dp_right), rows(table.dp_left)
+                assert right == plain_chain_dp(lengths, overlap.values)
+                assert left == plain_chain_dp(lengths, list(zip(*overlap.values)))
+                assert table.row_min.typecode == table.dp_right[0].typecode
                 for mask in range(1 << n):
-                    for dp in (table.dp_right, table.dp_left):
+                    for dp in (right, left):
                         assert table.row_min[mask] == min(filter(None, dp[mask]), default=0)
                 gains = [overlap.get(p, j) for p in range(n) for j in range(n) if p != j]
                 zero += gains.count(0)
                 positive += len(gains) - gains.count(0)
     # both terms of the recurrence are exercised, each on a good share of pairs
     assert min(zero, positive) > (zero + positive) / 4
+
+
+def assert_tables_equal_the_plain_ones(inst):
+    """Both builders' tables and the row minima against `plain_chain_dp`."""
+    overlap = build_overlap_table(inst)
+    lengths = [len(s) for s in inst.strings]
+    table = build_subset_table(inst, overlap)
+    right, left = rows(table.dp_right), rows(table.dp_left)
+    assert right == plain_chain_dp(lengths, overlap.values)
+    assert left == plain_chain_dp(lengths, list(zip(*overlap.values)))
+    assert rows(build_dp_right(inst, overlap)) == right
+    assert rows(build_dp_left(inst, overlap)) == left
+    assert list(table.row_min) == [min(filter(None, row), default=0) for row in right]
+    return table
+
+
+@pytest.mark.parametrize("row_bits", [4, 0, 2, 5])
+def test_both_fill_paths_equal_the_plain_recurrence(monkeypatch, row_bits):
+    # with 4 row bits, as built, every column is filled entry by entry up to
+    # n = 4, and from n = 5 the columns j >= 4 a slice of 2^j rows at a
+    # time; other chunk sizes only move the line between the two paths
+    assert subset_dp._ROW_BITS == 4
+    monkeypatch.setattr(subset_dp, "_ROW_BITS", row_bits)
+    for n in range(1, 11):
+        for params in (GeneratorParams(n, 1, 7, 2), GeneratorParams(n, 3, 8, 3)):
+            assert_tables_equal_the_plain_ones(generated(params, 4800 + 10 * n, n % 3))
+
+
+def test_wide_fields_equal_the_plain_recurrence():
+    # a total length of at least 2^15 does not fit under the 16-bit
+    # sentinel, so the fields are 32 bits wide, columns 4 and 5 included
+    rng = random.Random(4900)
+    inst = make_instance(["".join(rng.choice("ab") for _ in range(5500)) for _ in range(6)], 0)
+    assert sum(len(s) for s in inst.strings) >= 2**15
+    table = assert_tables_equal_the_plain_ones(inst)
+    assert table.row_min.typecode == "I"
+    overlaps = build_overlap_table(inst).values
+    assert sum(overlaps[p][j] > 0 for p in range(6) for j in range(6) if p != j) >= 15
 
 
 def test_dp_counters_equal_their_bound():
