@@ -215,6 +215,22 @@ def test_dp_bounds(strings):
             assert max(lengths[i] for i in members) <= value <= sum(lengths[i] for i in members)
 
 
+def assert_tables_equal_the_plain_ones(inst):
+    """Both builders' tables and the shared row minima against `plain_chain_dp`."""
+    overlap = build_overlap_table(inst)
+    lengths = [len(s) for s in inst.strings]
+    table = build_subset_table(inst, overlap)
+    right, left = rows(table.dp_right), rows(table.dp_left)
+    assert right == plain_chain_dp(lengths, overlap.values)
+    assert left == plain_chain_dp(lengths, list(zip(*overlap.values)))
+    assert build_dp_right(inst, overlap) == table.dp_right
+    assert build_dp_left(inst, overlap) == table.dp_left
+    assert table.row_min.typecode == table.dp_right[0].typecode
+    for dp in (right, left):
+        assert list(table.row_min) == [min(filter(None, row), default=0) for row in dp]
+    return table
+
+
 def test_row_minimum_recurrence_equals_the_plain_one():
     # binary mixed lengths: most ordered pairs overlap; the chains shape
     # (length 5, alphabet 4): most do not, so the row minimum decides often
@@ -223,37 +239,13 @@ def test_row_minimum_recurrence_equals_the_plain_one():
         for params in (GeneratorParams(n, 3, 9, 2), GeneratorParams(n, 5, 5, 4)):
             for seed in (4600 + 10 * n, 4605 + 10 * n):
                 inst = generated(params, seed, n % 3)
+                assert_tables_equal_the_plain_ones(inst)
                 overlap = build_overlap_table(inst)
-                lengths = [len(s) for s in inst.strings]
-                table = build_subset_table(inst, overlap)
-                assert table.dp_right == build_dp_right(inst, overlap)
-                assert table.dp_left == build_dp_left(inst, overlap)
-                right, left = rows(table.dp_right), rows(table.dp_left)
-                assert right == plain_chain_dp(lengths, overlap.values)
-                assert left == plain_chain_dp(lengths, list(zip(*overlap.values)))
-                assert table.row_min.typecode == table.dp_right[0].typecode
-                for mask in range(1 << n):
-                    for dp in (right, left):
-                        assert table.row_min[mask] == min(filter(None, dp[mask]), default=0)
                 gains = [overlap.get(p, j) for p in range(n) for j in range(n) if p != j]
                 zero += gains.count(0)
                 positive += len(gains) - gains.count(0)
     # both terms of the recurrence are exercised, each on a good share of pairs
     assert min(zero, positive) > (zero + positive) / 4
-
-
-def assert_tables_equal_the_plain_ones(inst):
-    """Both builders' tables and the row minima against `plain_chain_dp`."""
-    overlap = build_overlap_table(inst)
-    lengths = [len(s) for s in inst.strings]
-    table = build_subset_table(inst, overlap)
-    right, left = rows(table.dp_right), rows(table.dp_left)
-    assert right == plain_chain_dp(lengths, overlap.values)
-    assert left == plain_chain_dp(lengths, list(zip(*overlap.values)))
-    assert rows(build_dp_right(inst, overlap)) == right
-    assert rows(build_dp_left(inst, overlap)) == left
-    assert list(table.row_min) == [min(filter(None, row), default=0) for row in right]
-    return table
 
 
 @pytest.mark.parametrize("row_bits", [4, 0, 2, 5])
