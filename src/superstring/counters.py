@@ -47,14 +47,17 @@ class Counters:
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries, fewest options
         # first, under a window's cover or under the bare cover (nothing
-        # fixed) that every set is asked about before any window; answers
-        # memoised in a cover, which is kept for the whole mistake string,
-        # try none, and a set the sweep passes over visits nothing.  A set
-        # that fails under the bare cover visits no window, and on a few
-        # instances its bare search tries more placements than the windows
-        # it saves would have.  Cutoffs come from one incumbent carried
-        # through the mistake strings in index order, so the count depends
-        # on that order.
+        # fixed).  The bare searches list, once per mistake string, the sets
+        # that fit with nothing fixed: one search per extension of a listed
+        # set by one more string that fits alone, whether or not a shape
+        # asks about the set later.  Answers memoised in a cover, which is
+        # kept for the whole mistake string, try none, and only listed sets
+        # are swept, so a set that fails under the bare cover visits no
+        # window.  On a few instances the listing tries more placements than
+        # the sweep would have, since it also asks about sets that every
+        # shape's cutoff turns away.  Cutoffs come from one incumbent
+        # carried through the mistake strings in index order, so the count
+        # depends on that order.
         # The search has no tight polynomial shape, so its bound is the
         # product of its loop ranges (anchor/interior-set choices, window
         # cells, placement tree) and is deliberately loose.  glue_scan

@@ -25,14 +25,15 @@ always feasible and seeds the minimisation.
 
 Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
 an absent anchor, searched by a single loop over interior sets: an anchored
-shape has only the empty one, an absorbed shape every non-empty one.  One
-routine (``_glue``) prices the strings outside the window for every shape:
-a left chain ending in l if l exists, a right chain starting in r if r
-exists, the cheapest split of the outside strings between both when both
-do, and nothing when neither does.  One helper (``_window``) gives the
-window for composition and reconstruction alike: the merge core when the
-interior set is empty, the placement engine otherwise.  Reconstruction has
-one path: each chain is laid out iff its anchor exists.
+shape has only the empty one, an absorbed shape every non-empty one that
+fits inside the mistake string with nothing fixed.  One routine (``_glue``)
+prices the strings outside the window for every shape: a left chain ending
+in l if l exists, a right chain starting in r if r exists, the cheapest
+split of the outside strings between both when both do, and nothing when
+neither does.  One helper (``_window``) gives the window for composition
+and reconstruction alike: the merge core when the interior set is empty,
+the placement engine otherwise.  Reconstruction has one path: each chain
+is laid out iff its anchor exists.
 
 Window first, glue second.  With both anchors the glue is a scan over every
 split of the outside strings (the Held-Karp subset tables read back per
@@ -63,16 +64,21 @@ search that places the strings with the fewest options first (fail-first);
 the answer does not depend on the order.  Reconstruction asks the same
 engine for the winning offsets, placing the strings in index order.
 
-Before any window is built or visited, a set is asked about once under the
-bare cover, the one with nothing fixed and no budget spent.  An anchor
-window's cover only fixes more characters and spends more budget, so
-placements that fit under it fit under the bare cover too: a set that does
-not fit there fits under no window, and the walk is skipped.  This is the
-relaxation bound of branch and bound, applied once per set and mistake
-string; most sets of an absorbed sweep stop at it.
+Before any window is built or visited, a set is asked about under the bare
+cover, the one with nothing fixed and no budget spent.  An anchor window's
+cover only fixes more characters and spends more budget, so placements that
+fit under it fit under the bare cover too: a set that does not fit there
+fits under no window, and the walk is skipped.  This is the relaxation
+bound of branch and bound.  The sets that pass it are listed once per
+mistake string (``_Placer.fitting_sets``): a subset of a fitting set fits
+too, so the list grows from the fitting strings, one bare search per
+extension of a set already listed.  Almost no set of the strings that fit
+inside m one at a time fits there all at once, so the list is short.
 
-Every absorbed shape's interior sets are tried in descending mask order.  A
-set whose glue, or glue bound, plus the shortest window its anchors allow
+Every absorbed shape tries only the listed sets that avoid its anchors, in
+descending mask order.  A set left off the list gets no window, so leaving
+it out drops no candidate, and the sets that stay keep their order.  A set
+whose glue, or glue bound, plus the shortest window its anchors allow
 cannot beat the incumbent asks for no window at all.
 
 Candidates are tuples ``(length, kind, m, l, r, interior_mask,
@@ -208,7 +214,8 @@ class _Placer:
     number of placements, and the answers to the interior sets asked, since
     whether a set fits depends only on the cover.  The bare cover, with
     nothing fixed, is built first; every set is asked about under it before
-    any window, and it is also the cover of the window with no anchors.
+    any window, `fitting_sets` lists the sets that fit there, and it is also
+    the cover of the window with no anchors.
     """
 
     def __init__(self, instance, table, m, fits, counters):
@@ -328,6 +335,22 @@ class _Placer:
             hit = memo[interior_mask] = found is not None
         return hit
 
+    def fitting_sets(self):
+        """Every non-empty set of strings that fits under the bare cover, in descending mask order.
+
+        The family is closed under subsets, so it grows from the empty set:
+        each fitting string, in index order, extends every set grown so far,
+        one search under the bare cover per extension.  A set whose highest
+        string is e is one grown before e plus e, so none is missed, and each
+        round appends sets above all earlier ones, so the list grows in
+        ascending mask order.
+        """
+        bare = self.bare
+        grown = [0]
+        for e in _bits(bare[4], len(self.placements)):  # the strings that fit alone
+            grown += [s | 1 << e for s in grown if self.holds(bare, s | 1 << e)]
+        return grown[:0:-1]
+
     def first_window(self, l, r, interior_mask, cutoff):
         """(length, start, cover) of the first window below cutoff holding interior_mask, or None.
 
@@ -417,8 +440,9 @@ def _candidates_for_m(instance, tables, m, best, counters):
     """The least of `best` and every candidate with string m carrying the mismatches.
 
     One loop over (kind, l, r) shapes in ascending order.  An anchored shape
-    has one interior set, the empty one; an absorbed shape tries the
-    non-empty ones in descending mask order.  `best` is the incumbent
+    has one interior set, the empty one; an absorbed shape tries the sets of
+    ``_Placer.fitting_sets`` that avoid its anchors, in descending mask
+    order, since no other set gets a window.  `best` is the incumbent
     carried over from the earlier mistake strings, and a candidate replaces
     it iff its (length, kind) is smaller.  Within one m kinds ascend, so
     there this is the strict length test: among equal-length candidates the
@@ -431,13 +455,13 @@ def _candidates_for_m(instance, tables, m, best, counters):
     against a lower bound on its glue, and scans its chain splits only when
     a window comes back.
 
-    The pool is the strings that fit inside m, anchors excepted; `shortest`
-    is the merge core of the shape's anchors and m (|m| with no anchors),
-    the shortest window that holds them at all, and `cutoff` the least
-    length that cannot win, best[0] + (kind < best[1]).  A set with no glue,
-    or whose glue (or glue bound) `floor` has floor + shortest >= cutoff,
-    asks for no window.  An anchored shape's one set takes the same test,
-    which for it is the window test, since its window is the merge core.
+    `shortest` is the merge core of the shape's anchors and m (|m| with no
+    anchors), the shortest window that holds them at all, and `cutoff` the
+    least length that cannot win, best[0] + (kind < best[1]).  A set with no
+    glue, or whose glue (or glue bound) `floor` has floor + shortest >=
+    cutoff, asks for no window.  An anchored shape's one set takes the same
+    test, which for it is the window test, since its window is the merge
+    core.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -449,12 +473,14 @@ def _candidates_for_m(instance, tables, m, best, counters):
     cores = tables.cores
 
     # only strings strictly shorter than |m| - 1 can vanish inside m, so
-    # interior sets are drawn from those alone
+    # interior sets are drawn from those alone, and only from the sets of
+    # them that fit under the bare cover
     fits = 0
     for e in others:
         if lengths[e] <= lengths[m] - 2:
             fits |= 1 << e
     placer = _Placer(instance, tables.mismatch, m, fits, counters) if fits else None
+    family = placer.fitting_sets() if placer else []
 
     pairs = [(l, r) for l in others for r in others if r != l]
     shapes = (
@@ -472,14 +498,13 @@ def _candidates_for_m(instance, tables, m, best, counters):
         both = l >= 0 and r >= 0
         if kind <= _TRIPLE:
             counters.composition += 1
-            pool = 0
+            interiors = [0]
         else:
-            pool = around & fits
-            if not pool:
+            interiors = [s for s in family if not s & anchors]
+            if not interiors:
                 continue
         shortest = _window(cores, placer, m, l, r, 0, inf)[0] if anchors else lengths[m]
-        interior = pool
-        while True:
+        for interior in interiors:
             outside = around ^ interior
             if both:
                 # the split glue from below: the two chains of any split,
@@ -499,9 +524,6 @@ def _candidates_for_m(instance, tables, m, best, counters):
                         glue = _glue(subsets, lengths, l, r, outside, counters)
                     if (glue[0] + found[0], kind) < best[:2]:
                         best = (glue[0] + found[0], kind, m, l, r, interior, glue[1])
-            interior = (interior - 1) & pool
-            if not interior:
-                break
 
     return best
 
