@@ -487,18 +487,21 @@ def _candidates_for_m(instance, tables, m, best, counters):
         [(_EDGE_LEFT, l, -1) for l in others]
         + [(_EDGE_RIGHT, -1, r) for r in others]
         + [(_TRIPLE, l, r) for l, r in pairs]
-        + [(_EDGE_LEFT_ABS, l, -1) for l in others]
-        + [(_EDGE_RIGHT_ABS, -1, r) for r in others]
-        + [(_TRIPLE_ABS, l, r) for l, r in pairs]
-        + [(_ENCLOSED, -1, -1)]
     )
+    if family:  # with no set to absorb, no absorbed shape has a candidate
+        shapes += (
+            [(_EDGE_LEFT_ABS, l, -1) for l in others]
+            + [(_EDGE_RIGHT_ABS, -1, r) for r in others]
+            + [(_TRIPLE_ABS, l, r) for l, r in pairs]
+            + [(_ENCLOSED, -1, -1)]
+        )
     for kind, l, r in shapes:
         anchors = _bit(l) | _bit(r)
         around = rest_mask & ~anchors
         both = l >= 0 and r >= 0
         if kind <= _TRIPLE:
             counters.composition += 1
-            interiors = [0]
+            interiors = (0,)
         else:
             interiors = [s for s in family if not s & anchors]
             if not interiors:
