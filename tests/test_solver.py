@@ -16,6 +16,7 @@ from superstring.instance import InstanceError
 from superstring.counters import Counters
 from superstring.oracle import OracleLimits
 from superstring.solver import (
+    _TRIPLE,
     _Placer,
     _bit,
     _bits,
@@ -435,3 +436,102 @@ def test_carried_incumbent_equals_the_least_candidate_of_every_m():
         later_ties += carried[1] != 0 and carried[2] != first_at_length
     print(f"carried incumbent: {len(instances)} instances, {later_ties} later ties")
     assert len(instances) >= 100 and later_ties >= 5, (len(instances), later_ties)
+
+
+def _sweep_instances(seed):
+    """Seeded absorb-family and probe-family draws, n = 8-12, k = 0-4.
+
+    An absorb-family instance is one string of length 12-16 and short ones
+    of length 3-5 over "abc", so the short ones fit inside the long one; a
+    probe-family instance is `generate_instance` with lengths 4-10 over 4
+    letters, where a few strings fit inside the longer ones.
+    """
+    rng = random.Random(seed)
+    instances = []
+    for draw in range(24):
+        n, k = 8 + draw % 5, draw % 5
+        if draw % 2:
+            instances.append(generate_instance(GeneratorParams(n, 4, 10, 4), rng.randrange(10**9), k))
+            continue
+        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
+        while len(strings) < n:
+            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
+            if not any(candidate in s or s in candidate for s in strings):
+                strings.append(candidate)
+        instances.append(make_instance(strings, k))
+    return instances
+
+
+def _fits_inside(inst, m):
+    """The strings short enough to fit strictly inside string m, as the solver draws them."""
+    lengths = [len(s) for s in inst.strings]
+    return sum(1 << e for e in range(inst.n) if e != m and lengths[e] <= lengths[m] - 2)
+
+
+def test_fitting_sets_are_every_set_that_fits_with_nothing_fixed():
+    # the family must be exactly the non-empty subsets of the strings that
+    # fit inside m which fit under the bare cover, largest mask first, and
+    # closed under subsets, which is what lets it grow one string at a time
+    listed = multi = 0
+    for inst in _sweep_instances(20261022):
+        tables = _solve_tables(inst, Counters())
+        for m in range(inst.n):
+            fits = _fits_inside(inst, m)
+            if not fits:
+                continue
+            family = _Placer(inst, tables.mismatch, m, fits, Counters()).fitting_sets()
+            # a fresh placer, so no answer comes from the family build's memo
+            placer = _Placer(inst, tables.mismatch, m, fits, Counters())
+            expected = [s for s in _submasks(fits) if s and placer.holds(placer.bare, s)]
+            assert family == expected, (inst.strings, inst.k, m)
+            members = set(family)
+            for s in family:
+                for e in _bits(s, inst.n):
+                    assert s == 1 << e or s ^ 1 << e in members, (inst.strings, inst.k, m, s, e)
+            listed += len(family)
+            multi += sum(s.bit_count() > 1 for s in family)
+    print(f"fitting sets: {listed} listed, {multi} with two strings or more")
+    assert listed > 100 and multi > 20, (listed, multi)
+
+
+def test_fitting_set_sweep_matches_the_sweep_over_every_set():
+    # the old sweep asked about every non-empty set of the strings that fit
+    # inside m; with the family swapped for that, the candidates, witnesses
+    # and offsets are the same, and so is every counter but window_scan
+    def every_set(placer):
+        fits = sum(1 << e for e, s in enumerate(placer.strings) if len(s) <= placer.len_m - 2)
+        return [s for s in _submasks(fits) if s]
+
+    instances = _sweep_instances(20261023) + [golden_instance(seed) for seed in range(20261140, 20261160)]
+    runs = []
+    for sweep in (None, every_set):
+        bests, solutions = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            if sweep is not None:
+                patch.setattr(_Placer, "fitting_sets", sweep)
+            for inst in instances:
+                tables = _solve_tables(inst, Counters())
+                best = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+                for m in range(inst.n):
+                    best = _candidates_for_m(inst, tables, m, best, Counters())
+                bests.append(best)
+                solutions.append(solve(inst, reconstruct=True))
+        runs.append((bests, solutions))
+    (bests, solutions), (old_bests, old_solutions) = runs
+    assert bests == old_bests
+    scans_differ = 0
+    for inst, got, old in zip(instances, solutions, old_solutions):
+        assert (got.length, got.mistake_index, got.witness, got.offsets, got.mismatch_positions) == (
+            old.length,
+            old.mistake_index,
+            old.witness,
+            old.offsets,
+            old.mismatch_positions,
+        ), inst.strings
+        for name in Counters.NAMES:
+            if name != "window_scan":
+                assert getattr(got.counters, name) == getattr(old.counters, name), (inst.strings, name)
+        scans_differ += got.counters.window_scan != old.counters.window_scan
+    absorbed = sum(best[1] > _TRIPLE for best in bests)
+    print(f"fitting-set sweep: {len(instances)} instances, {absorbed} absorbed wins, {scans_differ} window_scan changes")
+    assert absorbed >= 10 and scans_differ >= 10, (absorbed, scans_differ)
