@@ -22,15 +22,7 @@ from .instance import (
 from .mismatches import MismatchTable, build_mismatch_table
 from .oracle import OracleLimitError, OracleLimits, OracleResult, brute_force_min_length, brute_force_scs
 from .solver import ReconstructionError, Solution, solve, verify_solution
-from .subset_dp import (
-    OverlapTable,
-    SubsetTable,
-    build_dp_left,
-    build_dp_right,
-    build_overlap_table,
-    build_subset_table,
-    max_clean_overlap,
-)
+from .subset_dp import SubsetTable, build_overlap_table, build_subset_table
 
 __version__ = "0.1.0"
 
@@ -45,7 +37,6 @@ __all__ = [
     "OracleLimitError",
     "OracleLimits",
     "OracleResult",
-    "OverlapTable",
     "ReconstructionError",
     "Solution",
     "SubsetTable",
@@ -53,15 +44,12 @@ __all__ = [
     "brute_force_min_length",
     "brute_force_scs",
     "build_core_table",
-    "build_dp_left",
-    "build_dp_right",
     "build_mismatch_table",
     "build_overlap_table",
     "build_pair_cores",
     "build_subset_table",
     "build_triple_cores",
     "make_instance",
-    "max_clean_overlap",
     "overlay_is_clean",
     "parse_instance",
     "serialize_instance",

@@ -13,11 +13,12 @@ disagrees with an anchor; positions covered by neither anchor are free.  The
 builders split the window lengths into two regimes:
 
   * Overlapping anchors (length < |l|+|r|), only at lengths whose overlay is
-    clean.  l and r then spell every window position, so a cell's cost is
-    the Hamming distance between m and that window (`overlaid_window`) at
-    its start, one C-level pass over the characters.  Starts where m's
-    disagreements with l alone, read from `MismatchTable.counts`, already
-    exceed k are passed over without counting.
+    clean (`MismatchTable.clean_lengths`).  l and r then spell every window
+    position, so a cell's cost is the Hamming distance between m and that
+    window (`overlaid_window`) at its start, one C-level pass over the
+    characters.  Starts where m's disagreements with l alone, read from
+    `MismatchTable.counts`, already exceed k are passed over without
+    counting.
   * Disjoint anchors (length >= |l|+|r|).  The two sides add up, so a cell's
     cost is m's count against l at its start plus its count against r at
     its distance d from the window's end, both read from the count lists of
@@ -93,7 +94,7 @@ def overlaid_window(left: str, right: str, length: int) -> str:
 
 
 def _first_overlapping_fit(
-    left: str, middle: str, right: str, clean: list[int], bound: list[int], k: int
+    left: str, middle: str, right: str, clean: Sequence[int], bound: list[int], k: int
 ) -> tuple[CorePlacement | None, int]:
     """First (length, start) within budget over the clean overlapping lengths.
 
@@ -184,15 +185,6 @@ def build_triple_cores(
     counts = {pair: table.counts(*pair) for pair in pairs}
     # m starting at s has its last character at shift s+|m|-1 of (l, m)
     left = {(l, m): counts[l, m][lengths[m] - 1 :] for l, m in pairs}
-    # the window lengths below |l|+|r| whose anchor overlay is conflict-free
-    clean = {
-        (l, r): [
-            length
-            for length in range(max(lengths[l], lengths[r]), lengths[l] + lengths[r])
-            if counts[l, r][length - 1] == 0
-        ]
-        for l, r in pairs
-    }
     result: dict[tuple[int, int, int], CorePlacement] = {}
     work = 0
     for r, m in pairs:
@@ -202,7 +194,8 @@ def build_triple_cores(
             if l == m or l == r:
                 continue
             placement = None
-            overlaid = clean[l, r]
+            # the window lengths below |l|+|r| whose anchor overlay is conflict-free
+            overlaid = table.clean_lengths(l, r)
             if overlaid and overlaid[-1] >= len_m:
                 placement, cells = _first_overlapping_fit(
                     strings[l], strings[m], strings[r], overlaid, left[l, m], k

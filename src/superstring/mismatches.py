@@ -9,14 +9,15 @@ number of overlapping positions where the two strings disagree, counted in
 one C-level pass over the overlapping slices.
 
 A zero count at some shift certifies that the overlay is clean at that
-alignment, which is what the merge-core builder and the absorbed-scan engine
-query.  The mismatch positions themselves (`positions`, `count_up_to`) are
-recomputed from the two strings on demand; the solve path does not use them.
+alignment.  The table is the one owner of this convention: the merge-core
+builder, the absorbed-scan engine and the overlap table read clean
+alignments as window lengths from `clean_lengths`, and the merge cores read
+per-shift counts from `counts` and `shifts_within`.  Mismatch positions are
+not kept: a solution's positions are read off its witness.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import ne
 
 from .counters import Counters
@@ -27,48 +28,14 @@ class MismatchTable:
     """Immutable mismatch counts for every ordered string pair and shift."""
 
     def __init__(self, strings: tuple[str, ...], counts: dict[tuple[int, int], list[int]]):
-        self._strings = strings
         self._lengths = tuple(map(len, strings))
         self._counts = counts
         self._within: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-    def shift_count(self, i: int, j: int) -> int:
-        """Size of the shift domain for base i, slider j."""
-        return self._lengths[i] + self._lengths[j]
-
-    def _check(self, i: int, j: int, shift: int) -> None:
-        if shift < 0 or shift >= self.shift_count(i, j):
-            raise IndexError(
-                f"shift out of range: {shift} not in [0, {self.shift_count(i, j) - 1}] "
-                f"for pair ({i}, {j})"
-            )
-
-    def positions(self, i: int, j: int, shift: int) -> tuple[int, ...]:
-        """Sorted base positions where base i and slider j disagree."""
-        self._check(i, j, shift)
-        counts = self._counts[i, j]
-        if counts[shift] == 0:
-            return ()
-        base, slider = self._strings[i], self._strings[j]
-        first = shift - len(slider) + 1  # base position of the slider's first character
-        return tuple(
-            x
-            for x in range(max(0, first), min(len(base), shift + 1))
-            if base[x] != slider[x - first]
-        )
-
-    def count(self, i: int, j: int, shift: int) -> int:
-        """Number of mismatches at the given alignment."""
-        self._check(i, j, shift)
-        return self._counts[i, j][shift]
+        self._clean: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def counts(self, i: int, j: int) -> list[int]:
         """Number of mismatches at every shift of base i, slider j, as a new list."""
         return list(self._counts[i, j])
-
-    def count_up_to(self, i: int, j: int, shift: int, bound: int) -> int:
-        """Number of mismatch positions that are <= bound."""
-        return bisect_right(self.positions(i, j, shift), bound)
 
     def shifts_within(self, i: int, j: int, budget: int) -> tuple[int, ...]:
         """Ascending shifts of base i, slider j with at most `budget` mismatches.
@@ -81,6 +48,22 @@ class MismatchTable:
             counts = enumerate(self._counts[i, j])
             found = tuple([shift for shift, count in counts if count <= budget])
             self._within[i, j, budget] = found
+        return found
+
+    def clean_lengths(self, i: int, j: int) -> tuple[int, ...]:
+        """Ascending window lengths in [max(|i|, |j|), |i|+|j|) where i and j agree.
+
+        String i sits at the window's left edge and j at its right edge, so
+        the two overlap: j's last character is on position length - 1 of i, at
+        shift length - 1.  Built on first request and kept.
+        """
+        found = self._clean.get((i, j))
+        if found is None:
+            len_i, len_j = self._lengths[i], self._lengths[j]
+            counts = self._counts[i, j]
+            lengths = range(max(len_i, len_j), len_i + len_j)
+            found = tuple([length for length in lengths if counts[length - 1] == 0])
+            self._clean[i, j] = found
         return found
 
 

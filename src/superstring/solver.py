@@ -103,7 +103,7 @@ from .cores import CoreTable, build_core_table
 from .counters import Counters
 from .instance import Instance, InvalidInstanceError, validate
 from .mismatches import MismatchTable, build_mismatch_table
-from .subset_dp import OverlapTable, SubsetTable, build_overlap_table, build_subset_table
+from .subset_dp import SubsetTable, build_overlap_table, build_subset_table
 
 # candidate kinds, in tie-break order; *_ABS variants absorb interior strings
 _BASELINE = 0
@@ -143,7 +143,7 @@ class Solution:
 class _Tables:
     mismatch: MismatchTable
     cores: CoreTable
-    overlap: OverlapTable
+    overlap: list[list[int]]
     subsets: SubsetTable
 
 
@@ -260,16 +260,18 @@ class _Placer:
         self.len_r = len_r = len(strings[r]) if r >= 0 else 0
         self.l_value = _pack(strings[l], 0, code, width) if l >= 0 else 0
         self.r_value = _pack(strings[r], 0, code, width) if r >= 0 else 0
-        self.lengths = range(max(len_l, len_m, len_r), len_l + len_m + len_r + 1)
+        low = max(len_l, len_m, len_r)
+        # below |l|+|r| the anchors overlap, and only the lengths where they
+        # agree hold a window; with an anchor absent every length is at least |l|+|r|
+        clean = self.table.clean_lengths(l, r) if l >= 0 and r >= 0 else ()
+        self.lengths = [length for length in clean if length >= low]
+        self.lengths += range(max(low, len_l + len_r), len_l + len_m + len_r + 1)
         self.groups: list[list[tuple]] = []
 
     def _group(self, length):
         """(start, cover) of every window of one length whose anchors fit the budget."""
-        l, r = self.anchors
         len_l, len_r = self.len_l, self.len_r
-        width, full, k = self.width, self.full, self.k
-        if l >= 0 and r >= 0 and length < len_l + len_r and self.table.count(l, r, length - 1) != 0:
-            return []
+        width, full = self.width, self.full
         l_span = (1 << (len_l * width)) - 1
         r_span = (1 << (len_r * width)) - 1
         windows = []
@@ -469,7 +471,7 @@ def _candidates_for_m(instance, tables, m, best, counters):
     others = [e for e in range(n) if e != m]
     subsets = tables.subsets
     row_min = subsets.row_min
-    overlaps = tables.overlap.values
+    overlaps = tables.overlap
     cores = tables.cores
 
     # only strings strictly shorter than |m| - 1 can vanish inside m, so
@@ -534,7 +536,7 @@ def _candidates_for_m(instance, tables, m, best, counters):
 def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     mismatch = build_mismatch_table(instance, counters)
     cores = build_core_table(instance, mismatch, counters)
-    overlap = build_overlap_table(instance)
+    overlap = build_overlap_table(instance, mismatch)
     subsets = build_subset_table(instance, overlap, counters)
     return _Tables(mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets)
 
@@ -590,7 +592,7 @@ def _chain(instance, tables, mask: int, end: int, rightmost: bool) -> list[tuple
     overlaps, so one walk from `end` serves both.
     """
     lengths = [len(s) for s in instance.strings]
-    overlaps = tables.overlap.values
+    overlaps = tables.overlap
     if rightmost:
         dp, gain = tables.subsets.dp_right, overlaps
     else:

@@ -1,9 +1,13 @@
 """Clean-overlap table and bitmask subset superstring tables.
 
 ``overlap(w, v)`` is the largest t such that the length-t suffix of string w
-equals the length-t prefix of string v.  Because no input may contain
-another, t is strictly below both lengths for w != v; the diagonal is set to
-the string's own length by convention and never read by the tables below.
+equals the length-t prefix of string v.  It is read from the mismatch table,
+not from the characters: w at a window's left edge and v at its right edge
+overlap by t in a window of |w|+|v|-t, so the largest t is |w|+|v| minus
+the shortest of ``MismatchTable.clean_lengths(w, v)``, and 0 when there is
+none.  Because no input may contain another, t is strictly below both
+lengths for w != v; the diagonal is set to the string's own length by
+convention and never read by the tables below.
 
 ``dp_right[j][mask]`` is the length of the shortest string containing every
 input named by ``mask`` exactly, arranged as a chain glued at maximal clean
@@ -66,18 +70,11 @@ from dataclasses import dataclass
 
 from .counters import Counters
 from .instance import Instance
+from .mismatches import MismatchTable
 
 # rows per chunk of the scalar step, 2^_ROW_BITS; columns j >= _ROW_BITS
 # are filled word-parallel, a whole column slice per operation
 _ROW_BITS = 4
-
-
-@dataclass
-class OverlapTable:
-    values: list[list[int]]
-
-    def get(self, w: int, v: int) -> int:
-        return self.values[w][v]
 
 
 @dataclass
@@ -97,30 +94,22 @@ class SubsetTable:
     row_min: array
 
 
-def max_clean_overlap(left: str, right: str) -> int:
-    """Largest t with left's length-t suffix equal to right's length-t prefix."""
-    for t in range(min(len(left), len(right)) - 1, 0, -1):
-        if left[-t:] == right[:t]:
-            return t
-    return 0
-
-
-def build_overlap_table(instance: Instance) -> OverlapTable:
+def build_overlap_table(instance: Instance, mismatch: MismatchTable) -> list[list[int]]:
     """Maximal clean overlap for every ordered pair, |s_w| on the diagonal.
 
-    Overlaps are read by direct suffix/prefix equality.
+    A clean window of max(|w|, |v|) would put one string inside the other,
+    which a valid instance rules out, so the shortest clean length is longer
+    than both strings and the overlap below both lengths.
     """
-    strings = instance.strings
-    n = instance.n
-    lengths = [len(s) for s in strings]
-    values = [[0] * n for _ in range(n)]
-    for w in range(n):
-        for v in range(n):
-            if w == v:
-                values[w][v] = lengths[w]
-                continue
-            values[w][v] = max_clean_overlap(strings[w], strings[v])
-    return OverlapTable(values)
+    lengths = [len(s) for s in instance.strings]
+    # with no clean length the shortest window is the disjoint one, overlap 0
+    return [
+        [
+            len_w if w == v else len_w + len_v - (mismatch.clean_lengths(w, v) or (len_w + len_v,))[0]
+            for v, len_v in enumerate(lengths)
+        ]
+        for w, len_w in enumerate(lengths)
+    ]
 
 
 def _row_minima(instance: Instance) -> array:
@@ -223,33 +212,16 @@ def _chain_dp(
     return dp, n * (n - 1) * (1 << n) // 4
 
 
-def build_dp_right(
-    instance: Instance, overlap: OverlapTable, counters: Counters | None = None
-) -> list[array]:
-    """Fill dp_right for all non-empty masks and all members."""
-    dp, work = _chain_dp(instance, overlap.values, _row_minima(instance))
-    if counters is not None:
-        counters.dp_right += work
-    return dp
-
-
-def build_dp_left(
-    instance: Instance, overlap: OverlapTable, counters: Counters | None = None
-) -> list[array]:
-    """Fill dp_left: the dp_right recurrence on the transposed overlap table."""
-    dp, work = _chain_dp(instance, list(zip(*overlap.values)), _row_minima(instance))
-    if counters is not None:
-        counters.dp_left += work
-    return dp
-
-
 def build_subset_table(
-    instance: Instance, overlap: OverlapTable, counters: Counters | None = None
+    instance: Instance, overlap: Sequence[Sequence[int]], counters: Counters | None = None
 ) -> SubsetTable:
-    """Both tables, filled in turn against one shared array of row minima."""
+    """Both tables, filled in turn against one shared array of row minima.
+
+    ``dp_left`` is the ``dp_right`` recurrence on the transposed overlaps.
+    """
     row_min = _row_minima(instance)
-    dp_right, right_work = _chain_dp(instance, overlap.values, row_min)
-    dp_left, left_work = _chain_dp(instance, list(zip(*overlap.values)), row_min, row_min_filled=True)
+    dp_right, right_work = _chain_dp(instance, overlap, row_min)
+    dp_left, left_work = _chain_dp(instance, list(zip(*overlap)), row_min, row_min_filled=True)
     if counters is not None:
         counters.dp_right += right_work
         counters.dp_left += left_work

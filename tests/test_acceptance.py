@@ -14,9 +14,9 @@ import pytest
 from superstring import (
     brute_force_min_length,
     brute_force_scs,
-    build_dp_left,
-    build_dp_right,
+    build_mismatch_table,
     build_overlap_table,
+    build_subset_table,
     make_instance,
     solve,
     verify_solution,
@@ -154,13 +154,17 @@ def test_criterion_5_budget_monotonicity():
     report(5, "budget-monotonicity", failures == 0, f"100 sweeps, {failures} violations")
 
 
+def subset_table(inst):
+    return build_subset_table(inst, build_overlap_table(inst, build_mismatch_table(inst)))
+
+
 def test_criterion_6_reversal_duality():
     failures = 0
     for i in range(100):
         inst = random_valid_instance(DUALITY_SEED + i, n_choices=(2, 3, 4, 5, 6))
         mirrored = make_instance([s[::-1] for s in inst.strings], inst.k)
-        dp_left = build_dp_left(inst, build_overlap_table(inst))
-        dp_right = build_dp_right(mirrored, build_overlap_table(mirrored))
+        dp_left = subset_table(inst).dp_left
+        dp_right = subset_table(mirrored).dp_right
         if dp_left != dp_right:
             failures += 1
     report(6, "reversal-duality", failures == 0, f"100 instances, {failures} differ")

@@ -14,7 +14,7 @@ from superstring.cores import (
     overlaid_window,
     overlay_is_clean,
 )
-from conftest import random_valid_instance, window_min_length, window_placement
+from conftest import naive_mismatch_positions, random_valid_instance, window_min_length, window_placement
 
 
 def triple_table(strings, k):
@@ -28,8 +28,9 @@ def pair_tables(strings, k):
 
 
 # The four-case placement count, a second route to a core cell's cost read
-# from the mismatch table alone: the reference for the builders' count from
-# the characters.  Counting m's disagreements splits into four region cases:
+# from the mismatch counts, with case 4's double-counted positions taken from
+# a direct scan: the reference for the builders' count from the characters.
+# Counting m's disagreements splits into four region cases:
 #
 #   1. m ends inside l                -> count against l only
 #   2. m starts inside r              -> count against r only
@@ -51,31 +52,33 @@ def classify_placement(len_l, len_m, len_r, length, start):
     return 4
 
 
-def placement_mismatches(table, l, m, r, len_l, len_m, len_r, length, start):
+def placement_mismatches(table, strings, l, m, r, length, start):
     """Mismatches of m against the union of l and r for one placement.
 
     Each window position covered by m counts at most once; positions covered
     by neither anchor are free.
     """
+    len_l, len_m, len_r = (len(strings[i]) for i in (l, m, r))
     end_m = start + len_m - 1
     case = classify_placement(len_l, len_m, len_r, length, start)
     if case == 1:
-        return table.count(l, m, end_m)
+        return table.counts(l, m)[end_m]
     end_in_r = end_m - (length - len_r)
     if case == 2:
-        return table.count(r, m, end_in_r)
+        return table.counts(r, m)[end_in_r]
     if case == 3:
         mistakes = 0
         if start < len_l:
-            mistakes += table.count(l, m, end_m)
+            mistakes += table.counts(l, m)[end_m]
         if end_in_r >= 0:
-            mistakes += table.count(r, m, end_in_r)
+            mistakes += table.counts(r, m)[end_in_r]
         return mistakes
     # case 4: mismatches inside the l/r overlap appear in both counts, so
     # drop the duplicates found on the r side
-    mistakes = table.count(l, m, end_m) + table.count(r, m, end_in_r)
+    mistakes = table.counts(l, m)[end_m] + table.counts(r, m)[end_in_r]
     overlap = len_l + len_r - length
-    return mistakes - table.count_up_to(r, m, end_in_r, overlap - 1)
+    twice = naive_mismatch_positions(strings[r], strings[m], end_in_r)
+    return mistakes - sum(x < overlap for x in twice)
 
 
 # expected values below were derived with window_min_length, the in-test
@@ -126,7 +129,7 @@ def test_overlay_examples():
     st.text(alphabet="ab", min_size=1, max_size=5),
 )
 def test_overlay_agrees_with_mismatch_lists(left, right):
-    # the builder's O(1) guard and the direct scan are two readings of the
+    # the table's clean lengths and the direct scan are two readings of the
     # same overlay; they must agree at every window length
     inst = make_instance([left, right], 0)
     table = build_mismatch_table(inst)
@@ -135,7 +138,7 @@ def test_overlay_agrees_with_mismatch_lists(left, right):
         if length >= len(left) + len(right):
             assert direct
         else:
-            assert direct == (table.count(0, 1, length - 1) == 0)
+            assert direct == (length in table.clean_lengths(0, 1))
 
 
 TRIPLES = st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=3, max_size=3)
@@ -225,9 +228,7 @@ def test_placement_mismatches_counts_union(strings, k):
                 for t, ch in enumerate(strings[m])
                 if chars.get(start + t) is not None and chars[start + t] != ch
             )
-            got = placement_mismatches(
-                table, l, m, r, len_l, len_m, len_r, length, start
-            )
+            got = placement_mismatches(table, strings, l, m, r, length, start)
             assert got == direct
 
 
@@ -319,7 +320,7 @@ def test_overlaid_count_matches_four_case_reference_on_every_clean_cell(seed):
             assert len(window) == length
             for start in range(length - len_m + 1):
                 got = sum(map(ne, strings[m], window[start:]))
-                expected = placement_mismatches(table, l, m, r, len_l, len_m, len_r, length, start)
+                expected = placement_mismatches(table, strings, l, m, r, length, start)
                 assert got == expected
                 crossing += classify_placement(len_l, len_m, len_r, length, start) == 4
     assert crossing > 0

@@ -284,7 +284,7 @@ def test_split_glue_lower_bound_holds():
         tables = _solve_tables(inst, Counters())
         subsets = tables.subsets
         lengths = [len(s) for s in inst.strings]
-        overlaps = tables.overlap.values
+        overlaps = tables.overlap
         for l in range(-1, n):
             for r in range(-1, n):
                 if l == r >= 0:

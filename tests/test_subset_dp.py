@@ -7,38 +7,35 @@ from superstring import (
     Counters,
     InstanceError,
     brute_force_scs,
-    build_dp_left,
-    build_dp_right,
     build_mismatch_table,
     build_overlap_table,
     build_subset_table,
     make_instance,
-    max_clean_overlap,
 )
 from superstring import subset_dp
 from superstring.cli import GeneratorParams, generate_instance
+from superstring.oracle import _suffix_prefix
 from conftest import random_valid_instance, substring_free
 
 
-def overlap_via_mismatch_lists(table, lengths, w: int, v: int) -> int:
-    # An empty mismatch list for base v / slider w at shift t-1 certifies that
-    # w's length-t suffix overlays v's length-t prefix cleanly.
-    for t in range(min(lengths[w], lengths[v]) - 1, 0, -1):
-        if table.count(v, w, t - 1) == 0:
-            return t
-    return 0
+def overlaps(inst) -> list[list[int]]:
+    """The solver's overlap table, read from the mismatch counts."""
+    return build_overlap_table(inst, build_mismatch_table(inst))
 
 
-def overlaps_via_mismatch_lists(inst) -> list[list[int]]:
-    """The overlap table read from the mismatch table: a second route to
-    what `build_overlap_table` computes by direct suffix/prefix equality."""
-    table = build_mismatch_table(inst)
-    lengths = [len(s) for s in inst.strings]
-    n = inst.n
+def direct_overlaps(inst) -> list[list[int]]:
+    """The overlap table by direct suffix/prefix equality (the brute-force
+    reference's own routine): a second route to what `build_overlap_table`
+    reads from the mismatch counts."""
+    strings = inst.strings
     return [
-        [lengths[w] if w == v else overlap_via_mismatch_lists(table, lengths, w, v) for v in range(n)]
-        for w in range(n)
+        [len(w) if i == j else _suffix_prefix(w, v) for j, v in enumerate(strings)]
+        for i, w in enumerate(strings)
     ]
+
+
+def subset_table(inst):
+    return build_subset_table(inst, overlaps(inst))
 
 
 def plain_chain_dp(lengths, overlaps) -> list[list[int | None]]:
@@ -87,17 +84,12 @@ def generated(params, seed, k):
 
 def test_overlap_examples():
     inst = make_instance(["ab", "ba", "cd"], 0)
-    table = build_overlap_table(inst)
-    assert table.values == overlaps_via_mismatch_lists(inst)
-    assert table.get(0, 1) == 1
-    assert table.get(0, 2) == 0
-    assert table.get(0, 0) == 2  # diagonal convention, never read by the DP
-
-
-def test_max_clean_overlap_direct():
-    assert max_clean_overlap("ab", "ba") == 1
-    assert max_clean_overlap("ab", "cd") == 0
-    assert max_clean_overlap("abab", "baba") == 3
+    table = overlaps(inst)
+    assert table == direct_overlaps(inst)
+    assert table[0][1] == 1
+    assert table[0][2] == 0
+    assert table[0][0] == 2  # diagonal convention, never read by the DP
+    assert overlaps(make_instance(["abab", "baba"], 0)) == [[4, 3], [3, 4]]
 
 
 @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=6), min_size=2, max_size=4))
@@ -105,13 +97,13 @@ def test_overlap_strict_bound_on_valid_instances(strings):
     if not substring_free(strings):
         return
     inst = make_instance(strings, 0)
-    table = build_overlap_table(inst)
-    assert table.values == overlaps_via_mismatch_lists(inst)
+    table = overlaps(inst)
+    assert table == direct_overlaps(inst)
     for w in range(inst.n):
         for v in range(inst.n):
             if w == v:
                 continue
-            t = table.get(w, v)
+            t = table[w][v]
             assert 0 <= t < min(len(strings[w]), len(strings[v]))
             # maximality: the tables's overlap matches, nothing longer does
             assert strings[w][len(strings[w]) - t :] == strings[v][:t]
@@ -121,14 +113,13 @@ def test_overlap_strict_bound_on_valid_instances(strings):
 
 def test_overlap_routes_agree_on_seeded_instances():
     for inst in seeded_instances(4300, 40, n_choices=(2, 3, 4, 5, 6), max_len=10):
-        assert overlaps_via_mismatch_lists(inst) == build_overlap_table(inst).values
+        assert overlaps(inst) == direct_overlaps(inst)
 
 
 def test_dp_examples():
     inst = make_instance(["ab", "bc"], 0)
-    overlap = build_overlap_table(inst)
-    dp_right = build_dp_right(inst, overlap)
-    dp_left = build_dp_left(inst, overlap)
+    table = subset_table(inst)
+    dp_right, dp_left = table.dp_right, table.dp_left
     assert dp_right[0][0b01] == 2  # singleton base case
     assert dp_right[1][0b10] == 2
     assert dp_right[1][0b11] == 3  # "abc" with bc rightmost
@@ -145,8 +136,8 @@ def seeded_instances(base, count, **kwargs):
 
 def test_recurrence_holds_everywhere():
     for inst in seeded_instances(4200, 10, n_choices=(2, 3, 4, 5)):
-        overlap = build_overlap_table(inst)
-        dp_right = build_dp_right(inst, overlap)
+        overlap = overlaps(inst)
+        dp_right = build_subset_table(inst, overlap).dp_right
         lengths = [len(s) for s in inst.strings]
         off = never(dp_right)
         assert off > sum(lengths) + max(lengths)
@@ -160,7 +151,7 @@ def test_recurrence_holds_everywhere():
                     continue
                 rest = mask ^ (1 << j)
                 expected = min(
-                    dp_right[p][rest] + lengths[j] - overlap.get(p, j)
+                    dp_right[p][rest] + lengths[j] - overlap[p][j]
                     for p in range(inst.n)
                     if rest & (1 << p)
                 )
@@ -169,8 +160,7 @@ def test_recurrence_holds_everywhere():
 
 def test_extension_upper_bound():
     for inst in seeded_instances(4300, 10, n_choices=(3, 4)):
-        overlap = build_overlap_table(inst)
-        dp_right = build_dp_right(inst, overlap)
+        dp_right = subset_table(inst).dp_right
         lengths = [len(s) for s in inst.strings]
         for mask in range(1, 1 << inst.n):
             for j in range(inst.n):
@@ -185,15 +175,14 @@ def test_extension_upper_bound():
 def test_reversal_duality():
     for inst in seeded_instances(4400, 15, n_choices=(2, 3, 4, 5)):
         reversed_inst = make_instance([s[::-1] for s in inst.strings], inst.k)
-        dp_left = build_dp_left(inst, build_overlap_table(inst))
-        dp_right_rev = build_dp_right(reversed_inst, build_overlap_table(reversed_inst))
+        dp_left = subset_table(inst).dp_left
+        dp_right_rev = subset_table(reversed_inst).dp_right
         assert dp_left == dp_right_rev
 
 
 def test_full_mask_equals_permutation_oracle():
     for inst in seeded_instances(4500, 15, n_choices=(2, 3, 4, 5, 6)):
-        overlap = build_overlap_table(inst)
-        dp_right = build_dp_right(inst, overlap)
+        dp_right = subset_table(inst).dp_right
         full = (1 << inst.n) - 1
         best = min(dp_right[j][full] for j in range(inst.n))
         assert best == brute_force_scs(inst)
@@ -205,8 +194,7 @@ def test_dp_bounds(strings):
     if not substring_free(strings):
         return
     inst = make_instance(strings, 0)
-    overlap = build_overlap_table(inst)
-    dp_right = build_dp_right(inst, overlap)
+    dp_right = subset_table(inst).dp_right
     lengths = [len(s) for s in strings]
     for mask in range(1, 1 << inst.n):
         members = [i for i in range(inst.n) if mask & (1 << i)]
@@ -216,15 +204,17 @@ def test_dp_bounds(strings):
 
 
 def assert_tables_equal_the_plain_ones(inst):
-    """Both builders' tables and the shared row minima against `plain_chain_dp`."""
-    overlap = build_overlap_table(inst)
+    """The subset table's two halves and its row minima against `plain_chain_dp`.
+
+    The DP is under test, so its overlaps come by direct equality: the
+    mismatch table of the wide-field instance alone takes tens of seconds.
+    """
+    overlap = direct_overlaps(inst)
     lengths = [len(s) for s in inst.strings]
     table = build_subset_table(inst, overlap)
     right, left = rows(table.dp_right), rows(table.dp_left)
-    assert right == plain_chain_dp(lengths, overlap.values)
-    assert left == plain_chain_dp(lengths, list(zip(*overlap.values)))
-    assert build_dp_right(inst, overlap) == table.dp_right
-    assert build_dp_left(inst, overlap) == table.dp_left
+    assert right == plain_chain_dp(lengths, overlap)
+    assert left == plain_chain_dp(lengths, list(zip(*overlap)))
     assert table.row_min.typecode == table.dp_right[0].typecode
     for dp in (right, left):
         assert list(table.row_min) == [min(filter(None, row), default=0) for row in dp]
@@ -240,8 +230,8 @@ def test_row_minimum_recurrence_equals_the_plain_one():
             for seed in (4600 + 10 * n, 4605 + 10 * n):
                 inst = generated(params, seed, n % 3)
                 assert_tables_equal_the_plain_ones(inst)
-                overlap = build_overlap_table(inst)
-                gains = [overlap.get(p, j) for p in range(n) for j in range(n) if p != j]
+                overlap = overlaps(inst)
+                gains = [overlap[p][j] for p in range(n) for j in range(n) if p != j]
                 zero += gains.count(0)
                 positive += len(gains) - gains.count(0)
     # both terms of the recurrence are exercised, each on a good share of pairs
@@ -268,8 +258,8 @@ def test_wide_fields_equal_the_plain_recurrence():
     assert sum(len(s) for s in inst.strings) >= 2**15
     table = assert_tables_equal_the_plain_ones(inst)
     assert table.row_min.typecode == "I"
-    overlaps = build_overlap_table(inst).values
-    assert sum(overlaps[p][j] > 0 for p in range(6) for j in range(6) if p != j) >= 15
+    overlap = direct_overlaps(inst)
+    assert sum(overlap[p][j] > 0 for p in range(6) for j in range(6) if p != j) >= 15
 
 
 def test_dp_counters_equal_their_bound():
@@ -277,7 +267,7 @@ def test_dp_counters_equal_their_bound():
     for n in range(1, 11):
         inst = generated(GeneratorParams(n, 5, 5, 4), 4700 + n, 0)
         counters = Counters()
-        build_subset_table(inst, build_overlap_table(inst), counters)
+        build_subset_table(inst, overlaps(inst), counters)
         bounds = Counters.bounds(n, 5)
         assert counters.dp_right == counters.dp_left == bounds["dp_right"] == bounds["dp_left"]
         assert bounds["dp_right"] == sum(c * (c - 1) for c in (bin(m).count("1") for m in range(1 << n)))
