@@ -212,8 +212,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="path to an instance file (one string per line)")
-    source.add_argument("--strings", help="comma-separated inline strings")
+    source.add_argument(
+        "--input",
+        help="path to an instance file (one string per line; a line starting with '#' is a comment, "
+        "so no string can start with '#')",
+    )
+    source.add_argument("--strings", help="comma-separated inline strings (so no string can contain a comma)")
     source.add_argument(
         "--gen",
         help="generate a random instance: n=<int>,len=<a>..<b>,alphabet=<int>",
