@@ -17,16 +17,22 @@ builders split the window lengths into two regimes:
     position, so a cell's cost is the Hamming distance between m and that
     window (`overlaid_window`) at its start, one C-level pass over the
     characters.  Starts where m's disagreements with l alone, read from
-    `MismatchTable.counts`, already exceed k are passed over without
+    `MismatchTable.starts`, already exceed k are passed over without
     counting.
   * Disjoint anchors (length >= |l|+|r|).  The two sides add up, so a cell's
     cost is m's count against l at its start plus its count against r at
-    its distance d from the window's end, both read from the count lists of
-    `MismatchTable.counts`.  `_first_fit` searches starts instead of cells:
-    for each start the least fitting d is one bisect in the sorted list of
-    right-anchor shifts within the remaining budget
-    (`MismatchTable.shifts_within`, built once per pair and budget and kept
-    by the table, so the triple and pair builders share it).
+    its distance d from the window's end, read from `MismatchTable.starts`
+    and `MismatchTable.counts`.  `_first_fit` searches starts instead of
+    cells: for each start the least fitting d is one bisect in the sorted
+    list of right-anchor shifts within the remaining budget.
+    `MismatchTable.shifts_within` gives one mapping per pair from budget to
+    that list, each list built on its first lookup and kept, so the triple
+    and pair builders share them.
+
+Both regimes begin at the first start whose count against l alone is
+within k: every earlier start is over budget before r is read.  The table
+finds that start once per (l, m) and keeps it with the per-start counts,
+for all n - 2 right anchors and for pair_left.
 
 The *pair cores* are the degenerate variants used when the mistake string is
 the overall first or last string: only one anchor, at the left (pair_left)
@@ -42,9 +48,8 @@ winner's position; the builders themselves look at far fewer.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial
 from math import inf
 from operator import ne
 from typing import NamedTuple
@@ -94,20 +99,21 @@ def overlaid_window(left: str, right: str, length: int) -> str:
 
 
 def _first_overlapping_fit(
-    left: str, middle: str, right: str, clean: Sequence[int], bound: list[int], k: int
+    left: str, middle: str, right: str, clean: Sequence[int], bound: list[int], first: int, k: int
 ) -> tuple[CorePlacement | None, int]:
     """First (length, start) within budget over the clean overlapping lengths.
 
     Every position is an anchor's, so a cell's cost is the Hamming distance
     between m and the window at its start.  bound[start] counts m against
     `left` alone, which is part of that distance, so a start it puts over
-    budget is passed over without counting characters.  Also returns the
+    budget is passed over without counting characters, and the search
+    begins at `first`, the first start it does not.  Also returns the
     number of cells a scan visits, the winner included.
     """
     work = 0
     for length in clean:
         window = overlaid_window(left, right, length)
-        for start in range(length - len(middle) + 1):
+        for start in range(first, length - len(middle) + 1):
             if start < len(bound) and bound[start] > k:
                 continue
             if sum(map(ne, middle, window[start:])) <= k:
@@ -118,8 +124,9 @@ def _first_overlapping_fit(
 
 def _first_fit(
     left: list[int],
+    first: int,
     right: list[int],
-    within: Callable[[int], Sequence[int]],
+    within: Mapping[int, Sequence[int]],
     len_m: int,
     lo: int,
     k: int,
@@ -128,26 +135,27 @@ def _first_fit(
 
     Valid where the anchors share no window position, so their mismatches
     add up.  left[s] counts m starting at s against the left anchor, zero
-    past the list's end.  m starting d positions before the window's end
-    sits at shift t = |m|+|r|-1-d across the right anchor: right[t] counts
-    it, `within(b)` lists ascending the shifts with at most b mismatches,
-    and at every d >= |m|+|r| m is clear of the anchor (an absent anchor
-    has an empty `right`).
+    past the list's end, and `first` is the first start with left[s] <= k:
+    every start before it is over budget on the left alone.  m starting d
+    positions before the window's end sits at shift t = |m|+|r|-1-d across
+    the right anchor: right[t] counts it, `within[b]` lists ascending the
+    shifts with at most b mismatches, and at every d >= |m|+|r| m is clear
+    of the anchor (an absent anchor has an empty `right`).
 
-    The search runs over starts: for each start s the least d >= max(|m|,
-    lo - s) that the remaining budget allows is that d itself or one bisect
-    away, so (s + d, s) is that start's best cell.  No start beats max(lo,
-    s + |m|), and past both the left anchor and lo - |m| every start finds
-    the same d, which ends the search.  The second value is the number of
-    cells a scan in ascending (length, start) order would visit up to and
-    including the winner, summed in closed form: every start of each
-    shorter length, then the winner's.
+    The search runs over starts from `first`: for each start s the least
+    d >= max(|m|, lo - s) that the remaining budget allows is that d itself
+    or one bisect away, so (s + d, s) is that start's best cell.  No start
+    beats max(lo, s + |m|), and past both the left anchor and lo - |m|
+    every start finds the same d, which ends the search.  The second value
+    is the number of cells a scan in ascending (length, start) order would
+    visit up to and including the winner, summed in closed form: every
+    start of each shorter length, then the winner's.
     """
     # conditional expressions in place of max(): this loop is hot on short strings
     top = (len(right) if len(right) > len_m else len_m) - 1  # the shift of d = |m|
     n_left = len(left)
     best_len, best_start = inf, 0
-    for s in range((n_left if n_left > lo - len_m else lo - len_m) + 1):
+    for s in range(first, (n_left if n_left > lo - len_m else lo - len_m) + 1):
         if best_len <= lo or best_len <= s + len_m:
             break
         budget = k - left[s] if s < n_left else k
@@ -158,14 +166,14 @@ def _first_fit(
         if shift < 0 or right[shift] <= budget:
             d = floor
         else:
-            shifts = within(budget)
+            shifts = within[budget]
             i = bisect_right(shifts, shift)
             d = top - shifts[i - 1] if i else top + 1
         if s + d < best_len:
             best_len, best_start = s + d, s
-    first = (lo if lo > len_m else len_m) - len_m + 1  # cells at the first length with any start
-    last = best_len - len_m  # cells at the length before the winner's
-    missed = (first + last) * (last - first + 1) // 2 if last >= first else 0
+    fewest = (lo if lo > len_m else len_m) - len_m + 1  # cells at the first length with any start
+    most = best_len - len_m  # cells at the length before the winner's
+    missed = (fewest + most) * (most - fewest + 1) // 2 if most >= fewest else 0
     return CorePlacement(best_len, best_start), missed + best_start + 1
 
 
@@ -182,28 +190,27 @@ def build_triple_cores(
     k = instance.k
     lengths = [len(s) for s in strings]
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    counts = {pair: table.counts(*pair) for pair in pairs}
-    # m starting at s has its last character at shift s+|m|-1 of (l, m)
-    left = {(l, m): counts[l, m][lengths[m] - 1 :] for l, m in pairs}
+    starts = {(l, m): table.starts(l, m, k) for l, m in pairs}
     result: dict[tuple[int, int, int], CorePlacement] = {}
     work = 0
     for r, m in pairs:
         len_r, len_m = lengths[r], lengths[m]
-        right, within = counts[r, m], partial(table.shifts_within, r, m)
+        right, within = table.counts(r, m), table.shifts_within(r, m)
         for l in range(n):
             if l == m or l == r:
                 continue
             placement = None
+            left, first = starts[l, m]
             # the window lengths below |l|+|r| whose anchor overlay is conflict-free
             overlaid = table.clean_lengths(l, r)
             if overlaid and overlaid[-1] >= len_m:
                 placement, cells = _first_overlapping_fit(
-                    strings[l], strings[m], strings[r], overlaid, left[l, m], k
+                    strings[l], strings[m], strings[r], overlaid, left, first, k
                 )
                 work += cells
             if placement is None:
                 lo = lengths[l] + len_r
-                placement, cells = _first_fit(left[l, m], right, within, len_m, lo, k)
+                placement, cells = _first_fit(left, first, right, within, len_m, lo, k)
                 work += cells
             result[l, m, r] = placement
     if counters is not None:
@@ -230,18 +237,18 @@ def build_pair_cores(
         for m in range(n):
             if m == l:
                 continue
-            left = table.counts(l, m)[lengths[m] - 1 :]
+            left, first = table.starts(l, m, k)
             lo = max(lengths[l], lengths[m])
-            # no right anchor: m is clear of it at every d >= |m|, so `within` is never asked
-            pair_left[l, m], cells = _first_fit(left, [], tuple, lengths[m], lo, k)
+            # no right anchor: m is clear of it at every d >= |m|, so `within` is never read
+            pair_left[l, m], cells = _first_fit(left, first, [], {}, lengths[m], lo, k)
             work += cells
     for m in range(n):
         for r in range(n):
             if r == m:
                 continue
-            within = partial(table.shifts_within, r, m)
+            within = table.shifts_within(r, m)
             lo = max(lengths[m], lengths[r])
-            pair_right[m, r], cells = _first_fit([], table.counts(r, m), within, lengths[m], lo, k)
+            pair_right[m, r], cells = _first_fit([], 0, table.counts(r, m), within, lengths[m], lo, k)
             work += cells
     if counters is not None:
         counters.core_scan += work

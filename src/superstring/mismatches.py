@@ -5,23 +5,60 @@ A shift ``k`` places the slider's *last* character on position ``k`` of the
 base's coordinate axis; the shift domain is ``[0, |base| + |slider| - 1]``,
 where the largest shifts leave little or no overlap (positions past the base
 are virtual and never compared).  For every shift the table stores the
-number of overlapping positions where the two strings disagree, counted in
-one C-level pass over the overlapping slices.
+number of overlapping positions where the two strings disagree.
+
+The counts of all shifts are a correlation, computed as integer products
+(Fischer and Paterson, "String-matching and other products", 1974).  Each
+string is packed once per letter it holds into a Python integer with one
+fixed-width field per position, 1 where the letter is and 0 elsewhere,
+forward and reversed.  For a pair, the sum over shared letters of
+``forward(base) * reversed(slider)`` holds in field t the number of
+positions that agree at shift t, and the product of two all-ones integers
+of the strings' lengths holds the overlap length at t, so their difference
+holds the mismatch counts.  The fields are 8, 16 or 32 bits wide, the
+narrowest that holds every pair's shorter length, so no field carries into
+the next or borrows from it; `str.translate` and `str.encode` pack them and
+`array` reads them back, all at C speed.  A pair costs one product per
+shared letter and one for the overlap lengths.
 
 A zero count at some shift certifies that the overlay is clean at that
 alignment.  The table is the one owner of this convention: the merge-core
 builder, the absorbed-scan engine and the overlap table read clean
 alignments as window lengths from `clean_lengths`, and the merge cores read
-per-shift counts from `counts` and `shifts_within`.  Mismatch positions are
-not kept: a solution's positions are read off its witness.
+per-shift counts from `counts` and `shifts_within` and per-start counts
+from `starts`.  Mismatch positions are not kept: a solution's positions are
+read off its witness.
 """
 
 from __future__ import annotations
 
-from operator import ne
+import sys
+from array import array
+from operator import mul
 
 from .counters import Counters
 from .instance import Instance
+
+# bytes per field -> the encoding that writes "\x00" and "\x01" in fields that wide
+_ENCODINGS = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}
+
+
+class ShiftsWithin(dict):
+    """Budget -> ascending shifts of one ordered pair with at most that many mismatches.
+
+    Filled on demand: a missing budget is built from the pair's counts on
+    first lookup and kept.
+    """
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, counts: list[int]):
+        super().__init__()
+        self._counts = counts
+
+    def __missing__(self, budget: int) -> tuple[int, ...]:
+        found = self[budget] = tuple([shift for shift, count in enumerate(self._counts) if count <= budget])
+        return found
 
 
 class MismatchTable:
@@ -30,24 +67,40 @@ class MismatchTable:
     def __init__(self, strings: tuple[str, ...], counts: dict[tuple[int, int], list[int]]):
         self._lengths = tuple(map(len, strings))
         self._counts = counts
-        self._within: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._within: dict[tuple[int, int], ShiftsWithin] = {}
+        self._starts: dict[tuple[int, int, int], tuple[list[int], int]] = {}
         self._clean: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def counts(self, i: int, j: int) -> list[int]:
         """Number of mismatches at every shift of base i, slider j, as a new list."""
         return list(self._counts[i, j])
 
-    def shifts_within(self, i: int, j: int, budget: int) -> tuple[int, ...]:
-        """Ascending shifts of base i, slider j with at most `budget` mismatches.
+    def shifts_within(self, i: int, j: int) -> ShiftsWithin:
+        """Budget -> ascending shifts of base i, slider j with at most that many mismatches.
 
         Built on first request and kept: the merge-core searches ask for the
         same few budgets of each pair many times.
         """
-        found = self._within.get((i, j, budget))
+        found = self._within.get((i, j))
         if found is None:
-            counts = enumerate(self._counts[i, j])
-            found = tuple([shift for shift, count in counts if count <= budget])
-            self._within[i, j, budget] = found
+            found = self._within[i, j] = ShiftsWithin(self._counts[i, j])
+        return found
+
+    def starts(self, i: int, j: int, budget: int) -> tuple[list[int], int]:
+        """Mismatches of j starting at each position of i, and the first start within `budget`.
+
+        Entry s, for s in [0, |i|], counts j with its first character on
+        position s of i, at shift s + |j| - 1.  The last entry leaves no
+        overlap and is 0, so a start within any budget >= 0 exists.  Built
+        on first request and kept; callers must not change the list.
+        """
+        found = self._starts.get((i, j, budget))
+        if found is None:
+            by_start = self._counts[i, j][self._lengths[j] - 1 :]
+            first = 0
+            while by_start[first] > budget:
+                first += 1
+            found = self._starts[i, j, budget] = (by_start, first)
         return found
 
     def clean_lengths(self, i: int, j: int) -> tuple[int, ...]:
@@ -67,15 +120,15 @@ class MismatchTable:
         return found
 
 
-def _shift_counts(base: str, slider: str) -> list[int]:
-    """Mismatch count at every shift of `slider` across `base`."""
-    last = len(slider) - 1
-    return [
-        sum(map(ne, slider[last - shift :], base))
-        if shift < last
-        else sum(map(ne, slider, base[shift - last :]))
-        for shift in range(len(base) + len(slider))
-    ]
+def _letter_fields(string: str, encoding: str) -> tuple[dict[int, int], dict[int, int]]:
+    """Per letter of `string`: 1 at its positions, 0 elsewhere, one field each, forward and reversed."""
+    blank = dict.fromkeys(map(ord, set(string)), 0)
+    forward, backward = {}, {}
+    for letter in blank:
+        marked = string.translate({**blank, letter: 1})
+        forward[letter] = int.from_bytes(marked.encode(encoding), "little")
+        backward[letter] = int.from_bytes(marked[::-1].encode(encoding), "little")
+    return forward, backward
 
 
 def build_mismatch_table(instance: Instance, counters: Counters | None = None) -> MismatchTable:
@@ -83,19 +136,36 @@ def build_mismatch_table(instance: Instance, counters: Counters | None = None) -
 
     Each unordered pair is counted once: shift t of (i, j) is the alignment
     at shift |i|+|j|-2-t of (j, i), and the last shift of either leaves no
-    overlap.  `pair_build` still counts one comparison per slider character
-    per shift of every ordered pair, overlapping or not: the sum over
-    ordered pairs of (|base|+|slider|)*|slider|.
+    overlap.  `pair_build` is the size of the alignment grid the table
+    covers, one slider character per shift of every ordered pair,
+    overlapping or not: the sum over ordered pairs of
+    (|base|+|slider|)*|slider|.
     """
     strings = instance.strings
     counts: dict[tuple[int, int], list[int]] = {}
     work = 0
-    for i, base in enumerate(strings):
-        for j in range(i + 1, len(strings)):
-            slider = strings[j]
-            forward = counts[i, j] = _shift_counts(base, slider)
-            counts[j, i] = forward[-2::-1] + [0]
-            work += (len(base) + len(slider)) ** 2
+    if len(strings) >= 2:
+        shorter = sorted(map(len, strings))[-2]  # no pair's shorter string is longer
+        size = next(size for size in _ENCODINGS if shorter < 1 << 8 * size)
+        typecode = next(code for code in "BHIL" if array(code).itemsize == size)
+        encoding = _ENCODINGS[size]
+        packed = [_letter_fields(string, encoding) for string in strings]
+        ones = [int.from_bytes(("\x01" * len(string)).encode(encoding), "little") for string in strings]
+        for i, base in enumerate(strings):
+            forward = packed[i][0]
+            for j in range(i + 1, len(strings)):
+                slider, backward = strings[j], packed[j][1]
+                shared = forward.keys() & backward.keys()
+                agree = sum(map(mul, map(forward.__getitem__, shared), map(backward.__getitem__, shared)))
+                # field t of ones * ones is the overlap length at shift t, in [0,
+                # |i|+|j|-2]; it is never below field t of agree, so nothing borrows
+                disagree = ones[i] * ones[j] - agree
+                fields = array(typecode, disagree.to_bytes((len(base) + len(slider) - 1) * size, "little"))
+                if sys.byteorder == "big":
+                    fields.byteswap()
+                row = counts[i, j] = [*fields, 0]
+                counts[j, i] = row[-2::-1] + [0]
+                work += (len(base) + len(slider)) ** 2
     if counters is not None:
         counters.pair_build += work
     return MismatchTable(tuple(strings), counts)
