@@ -1,3 +1,6 @@
+import random
+from operator import eq, ne
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,8 +41,10 @@ def test_slider_past_base_is_empty():
     assert table.counts(0, 1)[4] == 0
 
 
+# letters past latin-1 (two bytes in UTF-16, four with the emoji) as well as
+# ASCII: strings are reduced to 0/1 fields per letter before they are encoded
 STRING_SETS = st.lists(
-    st.text(alphabet="abc", min_size=1, max_size=5), min_size=2, max_size=4
+    st.text(alphabet="abcéΩ\U0001F600", min_size=1, max_size=5), min_size=2, max_size=4
 )
 
 
@@ -64,3 +69,47 @@ def test_counts_match_position_lists(seed):
     inst = random_valid_instance(seed, n_choices=(3, 4, 5), max_len=9, alphabets=(2, 3, 4))
     assert_counts_match_naive_scan(inst.strings, build_mismatch_table(inst))
 
+
+
+def nearly_uniform(length, seed, letters="ab"):
+    """Mostly the first letter, so a long pair agrees at hundreds of positions."""
+    rng = random.Random(seed)
+    return "".join(letters[1] if rng.random() < 0.02 else letters[0] for _ in range(length))
+
+
+@pytest.mark.parametrize(
+    "lengths", [(255, 255), (255, 300), (256, 256), (256, 300), (300, 300), (254, 257)]
+)
+def test_counts_around_the_8_bit_boundary(lengths):
+    # the fields must hold every count up to the pair's shorter length: 255
+    # fits 8 bits, 256 or more needs 16.  String 1 starts like string 0 and
+    # string 2 is string 1 with the letters swapped, so where they start
+    # together 0 and 1 agree at every position and 0 and 2 at none
+    source = nearly_uniform(max(lengths), sum(lengths))
+    strings = [source[: lengths[0]], source[: lengths[1]], source[: lengths[1]].translate({97: 98, 98: 97})]
+    if min(lengths) > 255:
+        # more positions agree (0, 1) and disagree (0, 2) at one shift than 8 bits hold
+        assert sum(map(eq, strings[0], strings[1])) > 255
+        assert sum(map(ne, strings[0], strings[2])) > 255
+    assert_counts_match_naive_scan(strings, table_for(strings))
+
+
+@pytest.mark.parametrize("lengths", [(1, 300), (2, 256), (3, 700), (5, 64), (40, 1000)])
+def test_counts_for_a_much_shorter_string(lengths):
+    strings = [nearly_uniform(length, 10 + seed, "aéΩ") for seed, length in enumerate(lengths)]
+    assert_counts_match_naive_scan(strings, table_for(strings))
+
+
+def test_counts_with_32_bit_fields():
+    # both strings reach 2^16 characters, so the fields are 32 bits wide;
+    # the full check would take minutes, so a few shifts are compared
+    base = nearly_uniform(65540, 20)
+    slider = "a" * 65536
+    table = table_for([base, slider])
+    forward, backward = table.counts(0, 1), table.counts(1, 0)
+    assert len(forward) == len(backward) == len(base) + len(slider)
+    last = len(base) + len(slider) - 1
+    for shift in (0, 1, 2, 65534, 65535, 65536, 65539, 65540, 100000, last - 1, last):
+        assert forward[shift] == len(naive_mismatch_positions(base, slider, shift))
+        assert backward[shift] == len(naive_mismatch_positions(slider, base, shift))
+    assert forward[65535] == base[:65536].count("b") > 256

@@ -260,6 +260,8 @@ def test_wide_fields_equal_the_plain_recurrence():
     assert table.row_min.typecode == "I"
     overlap = direct_overlaps(inst)
     assert sum(overlap[p][j] > 0 for p in range(6) for j in range(6) if p != j) >= 15
+    # the solver's route reads the same overlaps from the mismatch counts
+    assert overlaps(inst) == overlap
 
 
 def test_dp_counters_equal_their_bound():
