@@ -34,8 +34,9 @@ class Counters:
 
     @staticmethod
     def bounds(n: int, c: int) -> dict[str, int]:
-        # pair_build counts one comparison per slider character per shift of
-        # every ordered pair, sum over i != j of (|s_i| + |s_j|) * |s_j|,
+        # pair_build is the size of the alignment grid the mismatch table
+        # covers, not the comparisons made: one slider character per shift
+        # of every ordered pair, sum over i != j of (|s_i| + |s_j|) * |s_j|,
         # which is at most 2c * c per pair and exactly that when all
         # strings have length c.
         # dp_right and dp_left count the terms of the subset recurrence, one
