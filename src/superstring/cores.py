@@ -248,7 +248,8 @@ def build_pair_cores(
                 continue
             within = table.shifts_within(r, m)
             lo = max(lengths[m], lengths[r])
-            pair_right[m, r], cells = _first_fit([], 0, table.counts(r, m), within, lengths[m], lo, k)
+            right = table.counts(r, m)
+            pair_right[m, r], cells = _first_fit([], 0, right, within, lengths[m], lo, k)
             work += cells
     if counters is not None:
         counters.core_scan += work

@@ -57,7 +57,8 @@ class ShiftsWithin(dict):
         self._counts = counts
 
     def __missing__(self, budget: int) -> tuple[int, ...]:
-        found = self[budget] = tuple([shift for shift, count in enumerate(self._counts) if count <= budget])
+        shifts = enumerate(self._counts)
+        found = self[budget] = tuple([shift for shift, count in shifts if count <= budget])
         return found
 
 
@@ -121,7 +122,7 @@ class MismatchTable:
 
 
 def _letter_fields(string: str, encoding: str) -> tuple[dict[int, int], dict[int, int]]:
-    """Per letter of `string`: 1 at its positions, 0 elsewhere, one field each, forward and reversed."""
+    """Per letter of `string`: a field per position, 1 where the letter is, forward and reversed."""
     blank = dict.fromkeys(map(ord, set(string)), 0)
     forward, backward = {}, {}
     for letter in blank:
@@ -150,22 +151,23 @@ def build_mismatch_table(instance: Instance, counters: Counters | None = None) -
         typecode = next(code for code in "BHIL" if array(code).itemsize == size)
         encoding = _ENCODINGS[size]
         packed = [_letter_fields(string, encoding) for string in strings]
-        ones = [int.from_bytes(("\x01" * len(string)).encode(encoding), "little") for string in strings]
+        ones = [int.from_bytes(("\x01" * len(s)).encode(encoding), "little") for s in strings]
         for i, base in enumerate(strings):
             forward = packed[i][0]
             for j in range(i + 1, len(strings)):
-                slider, backward = strings[j], packed[j][1]
+                backward = packed[j][1]
                 shared = forward.keys() & backward.keys()
                 agree = sum(map(mul, map(forward.__getitem__, shared), map(backward.__getitem__, shared)))
                 # field t of ones * ones is the overlap length at shift t, in [0,
                 # |i|+|j|-2]; it is never below field t of agree, so nothing borrows
                 disagree = ones[i] * ones[j] - agree
-                fields = array(typecode, disagree.to_bytes((len(base) + len(slider) - 1) * size, "little"))
+                span = len(base) + len(strings[j])
+                fields = array(typecode, disagree.to_bytes((span - 1) * size, "little"))
                 if sys.byteorder == "big":
                     fields.byteswap()
                 row = counts[i, j] = [*fields, 0]
                 counts[j, i] = row[-2::-1] + [0]
-                work += (len(base) + len(slider)) ** 2
+                work += span ** 2
     if counters is not None:
         counters.pair_build += work
     return MismatchTable(tuple(strings), counts)

@@ -70,7 +70,6 @@ def test_counts_match_position_lists(seed):
     assert_counts_match_naive_scan(inst.strings, build_mismatch_table(inst))
 
 
-
 def nearly_uniform(length, seed, letters="ab"):
     """Mostly the first letter, so a long pair agrees at hundreds of positions."""
     rng = random.Random(seed)
@@ -86,7 +85,8 @@ def test_counts_around_the_8_bit_boundary(lengths):
     # string 2 is string 1 with the letters swapped, so where they start
     # together 0 and 1 agree at every position and 0 and 2 at none
     source = nearly_uniform(max(lengths), sum(lengths))
-    strings = [source[: lengths[0]], source[: lengths[1]], source[: lengths[1]].translate({97: 98, 98: 97})]
+    swapped = source.translate({ord("a"): "b", ord("b"): "a"})
+    strings = [source[: lengths[0]], source[: lengths[1]], swapped[: lengths[1]]]
     if min(lengths) > 255:
         # more positions agree (0, 1) and disagree (0, 2) at one shift than 8 bits hold
         assert sum(map(eq, strings[0], strings[1])) > 255
@@ -96,7 +96,7 @@ def test_counts_around_the_8_bit_boundary(lengths):
 
 @pytest.mark.parametrize("lengths", [(1, 300), (2, 256), (3, 700), (5, 64), (40, 1000)])
 def test_counts_for_a_much_shorter_string(lengths):
-    strings = [nearly_uniform(length, 10 + seed, "aéΩ") for seed, length in enumerate(lengths)]
+    strings = [nearly_uniform(length, 10 + seed, "aΩ") for seed, length in enumerate(lengths)]
     assert_counts_match_naive_scan(strings, table_for(strings))
 
 
