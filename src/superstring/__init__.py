@@ -7,7 +7,7 @@ also ships an independent brute-force reference for small instances and a
 CLI front end.
 """
 
-from .cores import CorePlacement, CoreTable, build_core_table, build_pair_cores, build_triple_cores, overlay_is_clean
+from .cores import CorePlacement, CoreTable, build_core_table, build_pair_cores, build_triple_cores
 from .counters import Counters
 from .instance import (
     Instance,
@@ -50,7 +50,6 @@ __all__ = [
     "build_subset_table",
     "build_triple_cores",
     "make_instance",
-    "overlay_is_clean",
     "parse_instance",
     "serialize_instance",
     "solve",

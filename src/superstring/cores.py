@@ -73,21 +73,6 @@ class CoreTable:
     pair_right: dict[tuple[int, int], CorePlacement]
 
 
-def overlay_is_clean(left: str, right: str, length: int) -> bool:
-    """True iff anchoring `left` and `right` in a window of `length` is conflict-free.
-
-    `left` occupies [0, |left|-1] and `right` occupies [length-|right|,
-    length-1]; their shared region, when there is one, pits a suffix of
-    `left` against a prefix of `right`.  Windows of length >= |left|+|right|
-    have no shared region and are trivially clean.
-    """
-    overlap = len(left) + len(right) - length
-    if overlap <= 0:
-        return True
-    offset = length - len(right)
-    return all(left[offset + t] == right[t] for t in range(overlap))
-
-
 def overlaid_window(left: str, right: str, length: int) -> str:
     """The characters of a window of `length` whose anchors overlap cleanly.
 

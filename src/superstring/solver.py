@@ -141,10 +141,15 @@ class Solution:
 
 @dataclass
 class _Tables:
+    """The precomputed tables, plus each string's largest overlap into and
+    out of it from another string (``max_in``, ``max_out``)."""
+
     mismatch: MismatchTable
     cores: CoreTable
     overlap: list[list[int]]
     subsets: SubsetTable
+    max_in: list[int]
+    max_out: list[int]
 
 
 def _bit(i: int) -> int:
@@ -293,46 +298,66 @@ class _Placer:
         return windows
 
     def _cover(self, value, covered):
-        """(value, covered, cost, options, fitting mask, rank, memo) of a cover, or None over budget.
+        """A cover's [value, covered, cost, options, unfit, memo], or None over budget.
 
-        `rank` lists the fitting strings by their number of options, fewest
-        first, ties by index: the order the feasibility search tries them.
-        `memo` maps interior masks to whether they fit under this cover.
+        No placement is filtered here: `options[e]` stays None until a
+        question about a set holding e asks for it (``_order``).  `unfit`
+        is the mask of the strings found to have no placement under the
+        cover, and `memo` maps interior masks to whether they fit under it.
         """
-        k = self.k
         differ = (value ^ self.m_value) & covered
         folded = differ
         for bit in range(1, self.width):
             folded |= differ >> bit
         cost = folded & self.low
-        if cost.bit_count() > k:
+        if cost.bit_count() > self.k:
             return None
-        # lists, not tuples: many short-lived tuples of assorted sizes would
-        # stay parked in the interpreter's tuple free lists and raise peak RSS
-        options = [()] * len(self.placements)
-        fitting = 0
-        for e, placements in enumerate(self.placements):
-            if placements:
+        return [value, covered, cost, [None] * len(self.placements), 0, {}]
+
+    def _order(self, cover, interior_mask):
+        """interior_mask's strings by number of options under a cover, fewest first, ties by index.
+
+        The options of each string, the placements that agree with the cover
+        within budget, are filtered the first time a question asks for them,
+        in index order.  At the first string with none the set cannot fit:
+        that string joins the cover's unfit mask and the answer is None.
+        """
+        value, covered, cost, options = cover[:4]
+        k = self.k
+        members = _bits(interior_mask, len(options))
+        for e in members:
+            if options[e] is None:
+                # lists, not tuples: many short-lived tuples of assorted sizes
+                # would stay parked in the interpreter's tuple free lists and
+                # raise peak RSS
                 options[e] = [
                     p
-                    for p in placements
+                    for p in self.placements[e]
                     if not (p[1] ^ value) & p[2] & covered and (cost | p[3]).bit_count() <= k
                 ]
-                if options[e]:
-                    fitting |= 1 << e
-        rank = sorted(_bits(fitting, len(options)), key=lambda e: len(options[e]))
-        return value, covered, cost, options, fitting, rank, {}
+            if not options[e]:
+                cover[4] |= 1 << e
+                return None
+        return sorted(members, key=lambda e: len(options[e]))
 
     def holds(self, cover, interior_mask):
-        """Whether every string of interior_mask fits under a cover at once, memoised in it."""
-        value, covered, cost, options, fitting, rank, memo = cover
-        if interior_mask & ~fitting:
+        """Whether every string of interior_mask fits under a cover at once, memoised in it.
+
+        A set holding a string already found unfit is turned away at once.
+        Otherwise the options of the set's strings are asked for (``_order``)
+        and, if each has some, a depth-first search places the strings with
+        the fewest options first (fail-first).
+        """
+        value, covered, cost, options, unfit, memo = cover
+        if interior_mask & unfit:
             return False
         hit = memo.get(interior_mask)
         if hit is None:
             # whether a set fits does not depend on the order it is placed
             # in; fewest options first fails soonest
-            order = [e for e in rank if interior_mask >> e & 1]
+            order = self._order(cover, interior_mask)
+            if order is None:
+                return False
             found = _search(options, order, 0, value, covered, cost, self.k, self.counters)
             hit = memo[interior_mask] = found is not None
         return hit
@@ -349,8 +374,9 @@ class _Placer:
         """
         bare = self.bare
         grown = [0]
-        for e in _bits(bare[4], len(self.placements)):  # the strings that fit alone
-            grown += [s | 1 << e for s in grown if self.holds(bare, s | 1 << e)]
+        for e, placements in enumerate(self.placements):
+            if placements:  # with nothing fixed, a string with a placement fits alone
+                grown += [s | 1 << e for s in grown if self.holds(bare, s | 1 << e)]
         return grown[:0:-1]
 
     def first_window(self, l, r, interior_mask, cutoff):
@@ -385,7 +411,8 @@ class _Placer:
         Strings are placed in index order, whatever order the feasibility
         search used, so the offsets do not depend on it.
         """
-        value, covered, cost, options, _, _, _ = cover
+        value, covered, cost, options = cover[:4]
+        self._order(cover, interior_mask)
         order = _bits(interior_mask, len(options))
         return dict(_search(options, order, 0, value, covered, cost, self.k, self.counters))
 
@@ -417,6 +444,25 @@ def _glue(subsets, lengths, l, r, outside, counters):
         if value <= best:
             best, best_sub = value, sub
     return best - lengths[l] - lengths[r], best_sub
+
+
+def _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor):
+    """The largest of `floor` and three more lower bounds on the split glue of anchors l and r.
+
+    `floor` is the first bound, row_min[outside | l | r] + overlap(l, r) -
+    |l| - |r|.  A chain ending in l is at least the shortest chain over the
+    rest of it, plus |l|, minus the largest overlap into l; likewise a chain
+    starting in r with the largest overlap out of r; and two chains joined
+    end to end are one chain over their union.  So every split is at least
+    each of row_min[O] - max_in(l) - max_out(r), row_min[O | l] - |l| -
+    max_out(r) and row_min[O | r] - |r| - max_in(l), O the outside strings.
+    """
+    return max(
+        floor,
+        row_min[outside] - max_in[l] - max_out[r],
+        row_min[outside | 1 << l] - lengths[l] - max_out[r],
+        row_min[outside | 1 << r] - lengths[r] - max_in[l],
+    )
 
 
 def _window(cores, placer, m, l, r, interior_mask, cutoff):
@@ -472,6 +518,7 @@ def _candidates_for_m(instance, tables, m, best, counters):
     subsets = tables.subsets
     row_min = subsets.row_min
     overlaps = tables.overlap
+    max_in, max_out = tables.max_in, tables.max_out
     cores = tables.cores
 
     # only strings strictly shorter than |m| - 1 can vanish inside m, so
@@ -511,14 +558,17 @@ def _candidates_for_m(instance, tables, m, best, counters):
         shortest = _window(cores, placer, m, l, r, 0, inf)[0] if anchors else lengths[m]
         for interior in interiors:
             outside = around ^ interior
+            cutoff = best[0] + (kind < best[1])
             if both:
                 # the split glue from below: the two chains of any split,
                 # joined at overlap(l, r), are one chain over outside | l | r
                 floor = row_min[outside | anchors] + overlaps[l][r] - lengths[l] - lengths[r]
+                # the other bounds only matter for a shape the first one keeps
+                if floor + shortest < cutoff:
+                    floor = _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor)
             else:
                 glue = _glue(subsets, lengths, l, r, outside, counters)
                 floor = None if glue is None else glue[0]
-            cutoff = best[0] + (kind < best[1])
             # no window is shorter than the merge core of the anchors and m
             if floor is not None and floor + shortest < cutoff:
                 # the window is the shortest below the cutoff whatever the
@@ -538,7 +588,11 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     cores = build_core_table(instance, mismatch, counters)
     overlap = build_overlap_table(instance, mismatch)
     subsets = build_subset_table(instance, overlap, counters)
-    return _Tables(mismatch=mismatch, cores=cores, overlap=overlap, subsets=subsets)
+    # the diagonal holds a string's own length, not an overlap
+    others = [[w for w in range(instance.n) if w != v] for v in range(instance.n)]
+    max_in = [max((overlap[w][v] for w in others[v]), default=0) for v in range(instance.n)]
+    max_out = [max((overlap[v][w] for w in others[v]), default=0) for v in range(instance.n)]
+    return _Tables(mismatch, cores, overlap, subsets, max_in, max_out)
 
 
 def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:

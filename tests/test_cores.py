@@ -12,7 +12,6 @@ from superstring.cores import (
     build_pair_cores,
     build_triple_cores,
     overlaid_window,
-    overlay_is_clean,
 )
 from conftest import naive_mismatch_positions, random_valid_instance, window_min_length, window_placement
 
@@ -25,6 +24,24 @@ def triple_table(strings, k):
 def pair_tables(strings, k):
     inst = make_instance(strings, k)
     return build_pair_cores(inst, build_mismatch_table(inst))
+
+
+def overlay_is_clean(left: str, right: str, length: int) -> bool:
+    """True iff anchoring `left` and `right` in a window of `length` is conflict-free.
+
+    A direct scan of the characters, the independent reference for the
+    mismatch table's clean lengths.
+
+    `left` occupies [0, |left|-1] and `right` occupies [length-|right|,
+    length-1]; their shared region, when there is one, pits a suffix of
+    `left` against a prefix of `right`.  Windows of length >= |left|+|right|
+    have no shared region and are trivially clean.
+    """
+    overlap = len(left) + len(right) - length
+    if overlap <= 0:
+        return True
+    offset = length - len(right)
+    return all(left[offset + t] == right[t] for t in range(overlap))
 
 
 # The four-case placement count, a second route to a core cell's cost read

@@ -15,6 +15,7 @@ from superstring.cli import GeneratorParams, generate_instance
 from superstring.instance import InstanceError
 from superstring.counters import Counters
 from superstring.oracle import OracleLimits
+from superstring import solver as solver_module
 from superstring.solver import (
     _TRIPLE,
     _Placer,
@@ -24,6 +25,7 @@ from superstring.solver import (
     _glue,
     _search,
     _solve_tables,
+    _split_floor,
 )
 from conftest import random_valid_instance
 from test_golden import golden_instance
@@ -272,19 +274,25 @@ def _plain_glue(subsets, lengths, l, r, outside, n):
 def test_split_glue_lower_bound_holds():
     # joined at overlap(l, r), the two chains of any split are one chain
     # over outside | l | r, so the split scan never beats the shortest one;
-    # every anchor shape's glue is also checked against the plain minimum
-    # over its splits (the smallest left share on ties), and only a
-    # two-anchor call scans, 2^|outside| splits
+    # nor does it beat the three bounds that price a chain ending in l (or
+    # starting in r) as the chain over the rest, plus the anchor, minus the
+    # largest overlap into l (out of r).  Every anchor shape's glue is also
+    # checked against the plain minimum over its splits (the smallest left
+    # share on ties), and only a two-anchor call scans, 2^|outside| splits
     rng = random.Random(20261019)
-    checked = tight = 0
+    checked = tight = tighter = 0
     for draw in range(144):
         n = 3 + draw % 6
         params = GeneratorParams(n, 2, 8, rng.randint(3, 4))
         inst = generate_instance(params, rng.randrange(10**9), 0)
         tables = _solve_tables(inst, Counters())
         subsets = tables.subsets
+        row_min = subsets.row_min
         lengths = [len(s) for s in inst.strings]
         overlaps = tables.overlap
+        max_in = [max(overlaps[w][v] for w in range(n) if w != v) for v in range(n)]
+        max_out = [max(overlaps[v][w] for w in range(n) if w != v) for v in range(n)]
+        assert (tables.max_in, tables.max_out) == (max_in, max_out), inst.strings
         for l in range(-1, n):
             for r in range(-1, n):
                 if l == r >= 0:
@@ -298,14 +306,25 @@ def test_split_glue_lower_bound_holds():
                         assert counters.glue_scan == 0
                         continue
                     assert counters.glue_scan == 2 ** bin(outside).count("1")
-                    bound = subsets.row_min[outside | anchors] + overlaps[l][r]
-                    length = glue[0] + lengths[l] + lengths[r]
-                    assert length >= bound, (inst.strings, l, r, outside)
+                    terms = [
+                        row_min[outside | anchors] + overlaps[l][r] - lengths[l] - lengths[r],
+                        row_min[outside] - max_in[l] - max_out[r],
+                        row_min[outside | 1 << l] - lengths[l] - max_out[r],
+                        row_min[outside | 1 << r] - lengths[r] - max_in[l],
+                    ]
+                    assert max(terms) <= glue[0], (inst.strings, l, r, outside, terms, glue)
+                    floor = _split_floor(row_min, lengths, max_in, max_out, l, r, outside, terms[0])
+                    assert floor == max(terms), (inst.strings, l, r, outside)
                     checked += 1
-                    tight += length == bound
-    # the bound is worth having only if it is often exact
+                    tight += glue[0] == terms[0]
+                    tighter += floor > terms[0]
+    # the first bound is worth having only if it is often exact, and the
+    # other three only if they often raise it: here 35,732 of 135,072 cases
+    # (26%) are raised
+    print(f"split glue: {checked} cases, first bound exact on {tight}, raised on {tighter}")
     assert checked == 24 * sum(m * (m - 1) * 2 ** (m - 2) for m in range(3, 9))
     assert tight * 5 >= checked, (tight, checked)
+    assert tighter * 5 >= checked, (tighter, checked)
 
 
 def test_glue_and_window_never_shrink_as_sets_grow():
@@ -384,12 +403,19 @@ def test_glue_and_window_never_shrink_as_sets_grow():
             for cover in placer.covers.values():
                 if cover is None:
                     continue
-                value, covered, cost, options, fitting, rank, _ = cover
-                assert sorted(rank) == _bits(fitting, n)
+                # options are filtered on demand: ask for every string's, so
+                # the cover knows which strings fit under it alone
+                for e in _bits(fits, n):
+                    placer._order(cover, 1 << e)
+                value, covered, cost, options, unfit, _ = cover
+                fitting = sum(1 << e for e in _bits(fits, n) if options[e])
+                assert unfit == fits & ~fitting, (inst.strings, m, value, covered)
+                rank = sorted(_bits(fitting, n), key=lambda e: len(options[e]))
                 for interior in _submasks(fitting):
                     if not interior:
                         continue
                     ranked = [e for e in rank if interior >> e & 1]
+                    assert placer._order(cover, interior) == ranked, (inst.strings, m, value, covered, interior)
                     by_index = _bits(interior, n)
                     fit = [
                         _search(options, order, 0, value, covered, cost, inst.k, Counters()) is not None
@@ -535,3 +561,49 @@ def test_fitting_set_sweep_matches_the_sweep_over_every_set():
     absorbed = sum(best[1] > _TRIPLE for best in bests)
     print(f"fitting-set sweep: {len(instances)} instances, {absorbed} absorbed wins, {scans_differ} window_scan changes")
     assert absorbed >= 10 and scans_differ >= 10, (absorbed, scans_differ)
+
+
+def test_split_floor_prunes_without_changing_any_answer():
+    # with the split floor cut back to its first term, the candidates,
+    # witnesses, offsets and every counter but glue_scan and window_scan
+    # are the same; the tighter floor only turns away windows and split
+    # scans that could not win, so those two never rise
+    def first_term(row_min, lengths, max_in, max_out, l, r, outside, floor):
+        return floor
+
+    rng = random.Random(20261024)
+    chains = [generate_instance(GeneratorParams(13, 5, 5, 4), rng.randrange(10**9), draw % 2) for draw in range(8)]
+    instances = _sweep_instances(20261024) + chains
+    runs = []
+    for floor in (None, first_term):
+        bests, solutions = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            if floor is not None:
+                patch.setattr(solver_module, "_split_floor", floor)
+            for inst in instances:
+                tables = _solve_tables(inst, Counters())
+                best = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+                for m in range(inst.n):
+                    best = _candidates_for_m(inst, tables, m, best, Counters())
+                bests.append(best)
+                solutions.append(solve(inst, reconstruct=True))
+        runs.append((bests, solutions))
+    (bests, solutions), (old_bests, old_solutions) = runs
+    assert bests == old_bests
+    fewer = {"glue_scan": 0, "window_scan": 0}
+    for inst, got, old in zip(instances, solutions, old_solutions):
+        assert (got.length, got.mistake_index, got.witness, got.offsets, got.mismatch_positions) == (
+            old.length,
+            old.mistake_index,
+            old.witness,
+            old.offsets,
+            old.mismatch_positions,
+        ), inst.strings
+        for name in Counters.NAMES:
+            if name in fewer:
+                assert getattr(got.counters, name) <= getattr(old.counters, name), (inst.strings, name)
+                fewer[name] += getattr(got.counters, name) < getattr(old.counters, name)
+            else:
+                assert getattr(got.counters, name) == getattr(old.counters, name), (inst.strings, name)
+    print(f"split floor: {len(instances)} instances, fewer scans on {fewer}")
+    assert fewer["glue_scan"] >= 20 and fewer["window_scan"] >= 10, fewer
