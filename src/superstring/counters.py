@@ -48,7 +48,9 @@ class Counters:
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries, fewest options
         # first, under a window's cover or under the bare cover (nothing
-        # fixed).  The bare searches list, once per mistake string, the sets
+        # fixed).  A cover filters a string's placements only when a set
+        # holding it is asked about, which tries no placement and counts
+        # nothing.  The bare searches list, once per mistake string, the sets
         # that fit with nothing fixed: one search per extension of a listed
         # set by one more string that fits alone, whether or not a shape
         # asks about the set later.  Answers memoised in a cover, which is
@@ -64,8 +66,11 @@ class Counters:
         # cells, placement tree) and is deliberately loose.  glue_scan
         # counts the left/right chain splits tried for a two-anchor shape,
         # anchored or absorbed, whose window beat the carried incumbent
-        # minus the shape's glue lower bound: 2^|outside| per scan, one per
-        # submask of the strings outside (l, m, r, interiors).  Summed over
+        # minus the shape's glue lower bound, the largest of four
+        # (solver._split_floor): 2^|outside| per scan, one per submask of
+        # the strings outside (l, m, r, interiors).  A tighter bound also
+        # lowers the cutoff a window must beat, so it can only lower
+        # window_scan and glue_scan, never raise them.  Summed over
         # the interior sets of one (m, l, r) that is at most 3^(n-3), pruned
         # or not
         return {

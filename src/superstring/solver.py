@@ -36,17 +36,29 @@ the placement engine otherwise.  Reconstruction has one path: each chain
 is laid out iff its anchor exists.
 
 Window first, glue second.  With both anchors the glue is a scan over every
-split of the outside strings (the Held-Karp subset tables read back per
+split of the outside strings O (the Held-Karp subset tables read back per
 shape), so such a shape first asks for a window shorter than the incumbent
-minus a lower bound on that glue: the shortest chain over the outside
-strings and both anchors (``SubsetTable.row_min``), plus the anchors' own
-overlap, minus their lengths.  The left and right chains of any split,
-joined at that overlap, are one such chain, so the bound holds.  Only when
-a window comes back is the split scanned, and the shape is kept iff glue
-plus window beats the incumbent.  A window is the shortest one below the
-cutoff, earliest start first, whatever the cutoff, so the looser cutoff
-finds the window the exact one would have found and keeps exactly the same
-shapes.
+minus a lower bound on that glue, the largest of four (``_split_floor``),
+with ``row_min`` the shortest chain over a mask (``SubsetTable.row_min``):
+
+  - row_min[O | l | r] + overlap(l, r) - |l| - |r|: the left and right
+    chains of any split, joined at the anchors' own overlap, are one chain
+    over O, l and r;
+  - row_min[O] - max_in(l) - max_out(r), with max_in(l) the largest overlap
+    into l from another string and max_out(r) the largest out of r: a chain
+    ending in l is at least the chain over the rest of it, plus |l|, minus
+    one overlap into l, likewise for a chain starting in r, and two chains
+    joined end to end are one chain over their union;
+  - row_min[O | l] - |l| - max_out(r): the same with l's chain kept whole;
+  - row_min[O | r] - |r| - max_in(l): the same with r's chain kept whole.
+
+The first is often exact; the other three are read only for a shape it
+keeps.  ``max_in`` and ``max_out`` are computed once per solve.  Only when a
+window comes back is the split scanned, and the shape is kept iff glue plus
+window beats the incumbent.  A window is the shortest one below the cutoff,
+earliest start first, whatever the cutoff, so the looser cutoff finds the
+window the exact one would have found and keeps exactly the same shapes; a
+tighter floor only turns away windows and scans that cannot win.
 
 Absorbed shapes are searched by one placement engine per mistake string m
 (``_Placer``).  Every string short enough to fit strictly inside m is
@@ -55,14 +67,18 @@ mask and a mask of its disagreements with m; a placement that alone
 disagrees with m beyond the budget is dropped.  Anchor windows for a pair
 (l?, r?) are built lazily in ascending (length, start) order and kept only
 while the scans stay on that pair; each window carries the cover its
-anchors fix.  Covers are kept per m, across anchor pairs, each with the
-placements per string that agree with it within budget and a memo of the
-interior sets asked about, so the composition loop, which enumerates only
-interior sets drawn from the strings that fit, pays for each distinct
-question once.  Whether a set fits under a cover is a bitwise depth-first
-search that places the strings with the fewest options first (fail-first);
-the answer does not depend on the order.  Reconstruction asks the same
-engine for the winning offsets, placing the strings in index order.
+anchors fix.  Covers are kept per m, across anchor pairs, each with a memo
+of the interior sets asked about, so the composition loop, which enumerates
+only interior sets drawn from the strings that fit, pays for each distinct
+question once.  A cover's options for a string, the placements that agree
+with it within budget, are filtered only when a question about a set
+holding that string asks for them, member by member in index order, up to
+the first member with none; most questions end there, so most options are
+never built.  Whether a set fits under a cover is a bitwise depth-first
+search that places the strings with the fewest options first, ties by index
+(fail-first); the answer does not depend on the order.  Reconstruction asks
+the same engine for the winning offsets, placing the strings in index
+order.
 
 Before any window is built or visited, a set is asked about under the bare
 cover, the one with nothing fixed and no budget spent.  An anchor window's
@@ -214,13 +230,13 @@ class _Placer:
     They are built one length at a time, only as far as a cutoff asks, and
     kept only while the scans stay on one anchor pair (l, r), -1 meaning
     absent.  Each window holds the cover its anchors fix.  Covers live as
-    long as the placer, across anchor pairs: each holds, per string, the
-    placements that agree with it within budget, the fitting strings by
-    number of placements, and the answers to the interior sets asked, since
-    whether a set fits depends only on the cover.  The bare cover, with
-    nothing fixed, is built first; every set is asked about under it before
-    any window, `fitting_sets` lists the sets that fit there, and it is also
-    the cover of the window with no anchors.
+    long as the placer, across anchor pairs: each holds the answers to the
+    interior sets asked, since whether a set fits depends only on the cover,
+    and, per string, the placements that agree with it within budget, its
+    options, filtered the first time a question asks for them (`_order`).
+    The bare cover, with nothing fixed, is built first; every set is asked
+    about under it before any window, `fitting_sets` lists the sets that fit
+    there, and it is also the cover of the window with no anchors.
     """
 
     def __init__(self, instance, table, m, fits, counters):
@@ -408,7 +424,8 @@ class _Placer:
     def interiors(self, cover, interior_mask):
         """{interior: offset in m} of interior_mask's first placement under a cover.
 
-        Strings are placed in index order, whatever order the feasibility
+        The options of its strings are asked for first (`_order`), then the
+        strings are placed in index order, whatever order the feasibility
         search used, so the offsets do not depend on it.
         """
         value, covered, cost, options = cover[:4]
@@ -447,15 +464,11 @@ def _glue(subsets, lengths, l, r, outside, counters):
 
 
 def _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor):
-    """The largest of `floor` and three more lower bounds on the split glue of anchors l and r.
+    """The largest of four lower bounds on the split glue of anchors l and r around a window.
 
-    `floor` is the first bound, row_min[outside | l | r] + overlap(l, r) -
-    |l| - |r|.  A chain ending in l is at least the shortest chain over the
-    rest of it, plus |l|, minus the largest overlap into l; likewise a chain
-    starting in r with the largest overlap out of r; and two chains joined
-    end to end are one chain over their union.  So every split is at least
-    each of row_min[O] - max_in(l) - max_out(r), row_min[O | l] - |l| -
-    max_out(r) and row_min[O | r] - |r| - max_in(l), O the outside strings.
+    `floor` is the first, row_min[outside | l | r] + overlap(l, r) - |l| -
+    |r|; the other three, and why each holds, are in the module docstring
+    ("Window first, glue second").
     """
     return max(
         floor,
@@ -589,9 +602,9 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     overlap = build_overlap_table(instance, mismatch)
     subsets = build_subset_table(instance, overlap, counters)
     # the diagonal holds a string's own length, not an overlap
-    others = [[w for w in range(instance.n) if w != v] for v in range(instance.n)]
-    max_in = [max((overlap[w][v] for w in others[v]), default=0) for v in range(instance.n)]
-    max_out = [max((overlap[v][w] for w in others[v]), default=0) for v in range(instance.n)]
+    n = instance.n
+    max_in = [max((overlap[w][v] for w in range(n) if w != v), default=0) for v in range(n)]
+    max_out = [max((overlap[v][w] for w in range(n) if w != v), default=0) for v in range(n)]
     return _Tables(mismatch, cores, overlap, subsets, max_in, max_out)
 
 
