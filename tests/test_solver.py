@@ -415,7 +415,8 @@ def test_glue_and_window_never_shrink_as_sets_grow():
                     if not interior:
                         continue
                     ranked = [e for e in rank if interior >> e & 1]
-                    assert placer._order(cover, interior) == ranked, (inst.strings, m, value, covered, interior)
+                    order = placer._order(cover, interior)
+                    assert order == ranked, (inst.strings, m, value, covered, interior)
                     by_index = _bits(interior, n)
                     fit = [
                         _search(options, order, 0, value, covered, cost, inst.k, Counters()) is not None
@@ -572,8 +573,9 @@ def test_split_floor_prunes_without_changing_any_answer():
         return floor
 
     rng = random.Random(20261024)
-    chains = [generate_instance(GeneratorParams(13, 5, 5, 4), rng.randrange(10**9), draw % 2) for draw in range(8)]
-    instances = _sweep_instances(20261024) + chains
+    chains = GeneratorParams(13, 5, 5, 4)
+    instances = _sweep_instances(20261024)
+    instances += [generate_instance(chains, rng.randrange(10**9), draw % 2) for draw in range(8)]
     runs = []
     for floor in (None, first_term):
         bests, solutions = [], []
