@@ -5,8 +5,8 @@ random generator; optionally reconstruct and verify a witness, cross-check
 the answer against the brute-force reference, emit JSON, and report the
 per-phase iteration counters against their closed-form bounds.
 
-Exit codes: 0 success, 1 internal check failed (`--verify` rejected the
-witness, or a `--counters` counter exceeded its bound), 2 invalid input
+Exit codes: 0 success, 1 internal check failed (a reconstructed witness
+failed verification, or a `--counters` counter exceeded its bound), 2 invalid input
 (substring violation, empty input, bad parameters), 3 oracle limits
 exceeded, 4 solver/oracle disagreement.
 """
@@ -27,7 +27,7 @@ from .instance import (
     validate,
 )
 from .oracle import OracleLimitError, brute_force_min_length
-from .solver import solve, verify_solution
+from .solver import ReconstructionError, solve, verify_solution
 
 # drawing this many candidates without completing an instance means the
 # requested shape is (practically) unsatisfiable
@@ -143,14 +143,17 @@ def run(config: RunConfig, out=None, err=None) -> int:
                 print(f"error: {kind} violation at string {a}", file=err)
         return 2
 
-    solution = solve(instance, reconstruct=config.reconstruct)
-
-    if config.verify and solution.witness is not None:
-        problems = verify_solution(instance, solution)
-        if problems:
-            for problem in problems:
-                print(f"error: verification failed: {problem}", file=err)
-            return 1
+    # solve verifies every witness it builds and raises on a bad one
+    try:
+        solution = solve(instance, reconstruct=config.reconstruct)
+        verify = config.verify and solution.witness is not None
+        problems = verify_solution(instance, solution) if verify else []
+    except ReconstructionError as exc:
+        problems = exc.problems
+    if problems:
+        for problem in problems:
+            print(f"error: verification failed: {problem}", file=err)
+        return 1
 
     counter_report = None
     if config.counters:

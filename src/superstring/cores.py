@@ -16,18 +16,20 @@ builders split the window lengths into two regimes:
     clean (`MismatchTable.clean_lengths`).  l and r then spell every window
     position, so a cell's cost is the Hamming distance between m and that
     window (`overlaid_window`) at its start, one C-level pass over the
-    characters.  Starts where m's disagreements with l alone, read from
-    `MismatchTable.starts`, already exceed k are passed over without
-    counting.
+    characters.  Every character of either anchor is a window character,
+    so that cost is at least m's count against each anchor alone.  Cells
+    where the count against l (by start, from `MismatchTable.starts`) or
+    against r (by shift, from `MismatchTable.counts`) already exceeds k are
+    passed over without counting.
   * Disjoint anchors (length >= |l|+|r|).  The two sides add up, so a cell's
     cost is m's count against l at its start plus its count against r at
     its distance d from the window's end, read from `MismatchTable.starts`
     and `MismatchTable.counts`.  `_first_fit` searches starts instead of
     cells: for each start the least fitting d is one bisect in the sorted
     list of right-anchor shifts within the remaining budget.
-    `MismatchTable.shifts_within` gives one mapping per pair from budget to
-    that list, each list built on its first lookup and kept, so the triple
-    and pair builders share them.
+    `MismatchTable.shifts_within` gives per pair one such list for every
+    budget 0..k, all from one scan of the pair's counts, and keeps them, so
+    the triple and pair builders share them.
 
 Both regimes begin at the first start whose count against l alone is
 within k: every earlier start is over budget before r is read.  The table
@@ -48,7 +50,7 @@ winner's position; the builders themselves look at far fewer.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import inf
 from operator import ne
@@ -84,26 +86,41 @@ def overlaid_window(left: str, right: str, length: int) -> str:
 
 
 def _first_overlapping_fit(
-    left: str, middle: str, right: str, clean: Sequence[int], bound: list[int], first: int, k: int
+    left: str,
+    middle: str,
+    right: str,
+    clean: Sequence[int],
+    left_bound: list[int],
+    right_bound: list[int],
+    first: int,
+    k: int,
 ) -> tuple[CorePlacement | None, int]:
     """First (length, start) within budget over the clean overlapping lengths.
 
     Every position is an anchor's, so a cell's cost is the Hamming distance
-    between m and the window at its start.  bound[start] counts m against
-    `left` alone, which is part of that distance, so a start it puts over
+    between m and the window at its start.  Every character of either
+    anchor is a window character, so that distance is at least m's count
+    against each anchor alone: left_bound[start] counts m against `left`,
+    and right_bound[t] counts it against `right` at shift t, which is
+    start + |m| + |right| - 1 - length (m ends before `right` begins, with
+    no count, where that is negative).  A start either count puts over
     budget is passed over without counting characters, and the search
-    begins at `first`, the first start it does not.  Also returns the
-    number of cells a scan visits, the winner included.
+    begins at `first`, the first start the left count does not.  Also
+    returns the number of cells a scan visits, the winner included.
     """
+    len_m = len(middle)
     work = 0
     for length in clean:
         window = overlaid_window(left, right, length)
-        for start in range(first, length - len(middle) + 1):
-            if start < len(bound) and bound[start] > k:
+        offset = len_m + len(right) - 1 - length  # the right-anchor shift of start 0
+        for start in range(first, length - len_m + 1):
+            if start < len(left_bound) and left_bound[start] > k:
+                continue
+            if start + offset >= 0 and right_bound[start + offset] > k:
                 continue
             if sum(map(ne, middle, window[start:])) <= k:
                 return CorePlacement(length, start), work + start + 1
-        work += max(0, length - len(middle) + 1)
+        work += max(0, length - len_m + 1)
     return None, work
 
 
@@ -111,7 +128,7 @@ def _first_fit(
     left: list[int],
     first: int,
     right: list[int],
-    within: Mapping[int, Sequence[int]],
+    within: Sequence[Sequence[int]],
     len_m: int,
     lo: int,
     k: int,
@@ -180,7 +197,7 @@ def build_triple_cores(
     work = 0
     for r, m in pairs:
         len_r, len_m = lengths[r], lengths[m]
-        right, within = table.counts(r, m), table.shifts_within(r, m)
+        right, within = table.counts(r, m), table.shifts_within(r, m, k)
         for l in range(n):
             if l == m or l == r:
                 continue
@@ -190,7 +207,7 @@ def build_triple_cores(
             overlaid = table.clean_lengths(l, r)
             if overlaid and overlaid[-1] >= len_m:
                 placement, cells = _first_overlapping_fit(
-                    strings[l], strings[m], strings[r], overlaid, left, first, k
+                    strings[l], strings[m], strings[r], overlaid, left, right, first, k
                 )
                 work += cells
             if placement is None:
@@ -225,13 +242,13 @@ def build_pair_cores(
             left, first = table.starts(l, m, k)
             lo = max(lengths[l], lengths[m])
             # no right anchor: m is clear of it at every d >= |m|, so `within` is never read
-            pair_left[l, m], cells = _first_fit(left, first, [], {}, lengths[m], lo, k)
+            pair_left[l, m], cells = _first_fit(left, first, [], (), lengths[m], lo, k)
             work += cells
     for m in range(n):
         for r in range(n):
             if r == m:
                 continue
-            within = table.shifts_within(r, m)
+            within = table.shifts_within(r, m, k)
             lo = max(lengths[m], lengths[r])
             right = table.counts(r, m)
             pair_right[m, r], cells = _first_fit([], 0, right, within, lengths[m], lo, k)

@@ -25,9 +25,10 @@ A zero count at some shift certifies that the overlay is clean at that
 alignment.  The table is the one owner of this convention: the merge-core
 builder, the absorbed-scan engine and the overlap table read clean
 alignments as window lengths from `clean_lengths`, and the merge cores read
-per-shift counts from `counts` and `shifts_within` and per-start counts
-from `starts`.  Mismatch positions are not kept: a solution's positions are
-read off its witness.
+per-shift counts from `counts`, per-start counts from `starts`, and from
+`shifts_within` the shifts within each budget 0..k, built in one scan of
+the pair.  Mismatch positions are not kept: a solution's positions are read
+off its witness.
 """
 
 from __future__ import annotations
@@ -43,32 +44,13 @@ from .instance import Instance
 _ENCODINGS = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}
 
 
-class ShiftsWithin(dict):
-    """Budget -> ascending shifts of one ordered pair with at most that many mismatches.
-
-    Filled on demand: a missing budget is built from the pair's counts on
-    first lookup and kept.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts: list[int]):
-        super().__init__()
-        self._counts = counts
-
-    def __missing__(self, budget: int) -> tuple[int, ...]:
-        shifts = enumerate(self._counts)
-        found = self[budget] = tuple([shift for shift, count in shifts if count <= budget])
-        return found
-
-
 class MismatchTable:
     """Immutable mismatch counts for every ordered string pair and shift."""
 
     def __init__(self, strings: tuple[str, ...], counts: dict[tuple[int, int], list[int]]):
         self._lengths = tuple(map(len, strings))
         self._counts = counts
-        self._within: dict[tuple[int, int], ShiftsWithin] = {}
+        self._within: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
         self._starts: dict[tuple[int, int, int], tuple[list[int], int]] = {}
         self._clean: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -76,15 +58,21 @@ class MismatchTable:
         """Number of mismatches at every shift of base i, slider j, as a new list."""
         return list(self._counts[i, j])
 
-    def shifts_within(self, i: int, j: int) -> ShiftsWithin:
-        """Budget -> ascending shifts of base i, slider j with at most that many mismatches.
+    def shifts_within(self, i: int, j: int, budget: int) -> tuple[tuple[int, ...], ...]:
+        """Per budget b in 0..`budget`, the ascending shifts of base i, slider j within b.
 
-        Built on first request and kept: the merge-core searches ask for the
-        same few budgets of each pair many times.
+        Entry b of the result is that list, so a budget above `budget` has
+        no entry.  One scan of the pair's counts keeps the few shifts within
+        `budget`, and each smaller budget filters that short list.  Built on
+        first request and kept: the triple and pair builders read the same
+        pairs.
         """
-        found = self._within.get((i, j))
+        found = self._within.get((i, j, budget))
         if found is None:
-            found = self._within[i, j] = ShiftsWithin(self._counts[i, j])
+            counts = enumerate(self._counts[i, j])
+            near = [(shift, count) for shift, count in counts if count <= budget]
+            found = tuple(tuple([shift for shift, count in near if count <= b]) for b in range(budget + 1))
+            self._within[i, j, budget] = found
         return found
 
     def starts(self, i: int, j: int, budget: int) -> tuple[list[int], int]:

@@ -133,7 +133,14 @@ _ENCLOSED = 7  # no anchors: every exact string inside the mistake string
 
 
 class ReconstructionError(RuntimeError):
-    """A reconstructed witness failed verification; signals a solver bug."""
+    """A reconstructed witness failed verification; signals a solver bug.
+
+    `problems` holds what `verify_solution` found.
+    """
+
+    def __init__(self, problems: list[str]):
+        super().__init__(f"reconstruction mismatch: {problems}")
+        self.problems = problems
 
 
 @dataclass
@@ -647,7 +654,7 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
         ]
         problems = verify_solution(instance, solution)
         if problems:
-            raise ReconstructionError(f"reconstruction mismatch: {problems}")
+            raise ReconstructionError(problems)
     return solution
 
 

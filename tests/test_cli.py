@@ -229,6 +229,28 @@ def test_verify_failure_exit_code(monkeypatch):
     assert "verification failed: simulated" in err
 
 
+@pytest.mark.parametrize("verify", [True, False], ids=["verify", "reconstruct-only"])
+def test_bad_witness_from_the_solver_exit_code(monkeypatch, verify):
+    # solve checks the witness it builds and raises ReconstructionError on a
+    # bad one; the CLI reports that as a failed verification, not a traceback
+    import superstring.solver as solver_module
+
+    assemble = solver_module._assemble
+
+    def corrupted(*args):
+        witness, offsets = assemble(*args)
+        return witness[::-1], offsets
+
+    monkeypatch.setattr(solver_module, "_assemble", corrupted)
+    config = RunConfig(k=0, strings=["abc", "cde"], reconstruct=True, verify=verify, json_output=True)
+    code, out, err = run_capture(config)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and all(line.startswith("error: verification failed: ") for line in lines)
+    assert "not a superstring" in err
+
+
 def test_counter_bound_exit_code(monkeypatch):
     # real counts stay within their bounds, so an excess can only be simulated
     from superstring import Counters

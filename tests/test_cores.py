@@ -257,6 +257,11 @@ def equal_length_instance(seed, sizes=(8, 16), counts=(3, 5)):
     return generate_instance(params, rng.randrange(2**31), rng.randint(0, 4))
 
 
+def tables_instance(seed):
+    # the benchmark's table-bound workload at full size: 7 strings of 40, k 2-4
+    return generate_instance(GeneratorParams(count=7, min_len=40, max_len=40, alphabet=4), seed, 2 + seed % 3)
+
+
 def binary_mixed_instance(seed):
     # short binary strings of mixed lengths: clean overlapping anchors are common
     return random_valid_instance(seed, n_choices=(3, 4, 5), max_len=8, alphabets=(2,))
@@ -285,6 +290,7 @@ def zero_budget_instance(seed):
     + [binary_mixed_instance(6200 + i) for i in range(40)]
     # the search over starts meets these shapes where the draws above do not
     + [equal_length_instance(6300 + i, sizes=(24, 40), counts=(3, 4)) for i in range(6)]
+    + [tables_instance(6600 + i) for i in range(3)]
     + [long_middle_instance(6400 + i) for i in range(12)]
     + [zero_budget_instance(6500 + i) for i in range(12)],
 )

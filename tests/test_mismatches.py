@@ -53,6 +53,34 @@ def test_matches_naive_scan_everywhere(strings):
     assert_counts_match_naive_scan(strings, build_mismatch_table(make_instance(strings, 0)))
 
 
+def assert_budget_lists_match_counts(strings, table, top):
+    """shifts_within(i, j, top) against a direct scan of counts(i, j): one
+    ascending list per budget 0..top, and no list for a budget above top."""
+    for i in range(len(strings)):
+        for j in range(len(strings)):
+            if i == j:
+                continue
+            counts = table.counts(i, j)
+            lists = table.shifts_within(i, j, top)
+            assert len(lists) == top + 1
+            for budget, shifts in enumerate(lists):
+                assert shifts == tuple(shift for shift, count in enumerate(counts) if count <= budget)
+            with pytest.raises(IndexError):
+                lists[top + 1]
+
+
+@given(STRING_SETS, st.integers(min_value=0, max_value=6))
+def test_budget_lists_match_counts(strings, top):
+    assert_budget_lists_match_counts(strings, table_for(strings), top)
+
+
+def test_budget_lists_are_kept_per_top_budget():
+    # each top budget has its own lists, and a second request returns the same object
+    table = table_for(["abca", "cab"])
+    assert table.shifts_within(0, 1, 1) is table.shifts_within(0, 1, 1)
+    assert table.shifts_within(0, 1, 3)[:2] == table.shifts_within(0, 1, 1)
+
+
 @given(STRING_SETS)
 def test_symmetric_totals(strings):
     inst = make_instance(strings, 0)
@@ -91,13 +119,17 @@ def test_counts_around_the_8_bit_boundary(lengths):
         # more positions agree (0, 1) and disagree (0, 2) at one shift than 8 bits hold
         assert sum(map(eq, strings[0], strings[1])) > 255
         assert sum(map(ne, strings[0], strings[2])) > 255
-    assert_counts_match_naive_scan(strings, table_for(strings))
+    table = table_for(strings)
+    assert_counts_match_naive_scan(strings, table)
+    assert_budget_lists_match_counts(strings, table, 4)
 
 
 @pytest.mark.parametrize("lengths", [(1, 300), (2, 256), (3, 700), (5, 64), (40, 1000)])
 def test_counts_for_a_much_shorter_string(lengths):
     strings = [nearly_uniform(length, 10 + seed, "aΩ") for seed, length in enumerate(lengths)]
-    assert_counts_match_naive_scan(strings, table_for(strings))
+    table = table_for(strings)
+    assert_counts_match_naive_scan(strings, table)
+    assert_budget_lists_match_counts(strings, table, 4)
 
 
 def test_counts_with_32_bit_fields():
@@ -113,3 +145,4 @@ def test_counts_with_32_bit_fields():
         assert forward[shift] == len(naive_mismatch_positions(base, slider, shift))
         assert backward[shift] == len(naive_mismatch_positions(slider, base, shift))
     assert forward[65535] == base[:65536].count("b") > 256
+    assert_budget_lists_match_counts([base, slider], table, 3)
