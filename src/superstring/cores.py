@@ -27,9 +27,10 @@ builders split the window lengths into two regimes:
     and `MismatchTable.counts`.  `_first_fit` searches starts instead of
     cells: for each start the least fitting d is one bisect in the sorted
     list of right-anchor shifts within the remaining budget.
-    `MismatchTable.shifts_within` gives per pair one such list for every
-    budget 0..k, all from one scan of the pair's counts, and keeps them, so
-    the triple and pair builders share them.
+    `MismatchTable.shifts_within` maps each budget 0..k to that list, per
+    pair: the list for k is one scan of the pair's counts, and each smaller
+    budget's list, built on its first lookup, filters the list for k.  The
+    table keeps them, so the triple and pair builders share them.
 
 Both regimes begin at the first start whose count against l alone is
 within k: every earlier start is over budget before r is read.  The table
@@ -50,7 +51,7 @@ winner's position; the builders themselves look at far fewer.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import inf
 from operator import ne
@@ -128,7 +129,7 @@ def _first_fit(
     left: list[int],
     first: int,
     right: list[int],
-    within: Sequence[Sequence[int]],
+    within: Mapping[int, Sequence[int]],
     len_m: int,
     lo: int,
     k: int,
@@ -242,7 +243,7 @@ def build_pair_cores(
             left, first = table.starts(l, m, k)
             lo = max(lengths[l], lengths[m])
             # no right anchor: m is clear of it at every d >= |m|, so `within` is never read
-            pair_left[l, m], cells = _first_fit(left, first, [], (), lengths[m], lo, k)
+            pair_left[l, m], cells = _first_fit(left, first, [], {}, lengths[m], lo, k)
             work += cells
     for m in range(n):
         for r in range(n):

@@ -44,13 +44,42 @@ from .instance import Instance
 _ENCODINGS = {1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}
 
 
+class ShiftsWithin(dict):
+    """Budget -> ascending shifts of one ordered pair with at most that many mismatches.
+
+    Holds budgets 0..top and refuses any other with KeyError.  Filled on
+    demand: the top budget's list is one scan of the pair's counts, and a
+    smaller budget's list filters that much shorter list on its first
+    lookup.  A search on short strings mostly reads the top budget alone,
+    one on long strings reads them all.
+    """
+
+    __slots__ = ("_counts", "_top")
+
+    def __init__(self, counts: list[int], top: int):
+        super().__init__()
+        self._counts = counts
+        self._top = top
+
+    def __missing__(self, budget: int) -> tuple[int, ...]:
+        counts, top = self._counts, self._top
+        if budget == top:
+            found = [shift for shift, count in enumerate(counts) if count <= top]
+        elif 0 <= budget < top:
+            found = [shift for shift in self[top] if counts[shift] <= budget]
+        else:
+            raise KeyError(budget)
+        found = self[budget] = tuple(found)
+        return found
+
+
 class MismatchTable:
     """Immutable mismatch counts for every ordered string pair and shift."""
 
     def __init__(self, strings: tuple[str, ...], counts: dict[tuple[int, int], list[int]]):
         self._lengths = tuple(map(len, strings))
         self._counts = counts
-        self._within: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+        self._within: dict[tuple[int, int, int], ShiftsWithin] = {}
         self._starts: dict[tuple[int, int, int], tuple[list[int], int]] = {}
         self._clean: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -58,21 +87,16 @@ class MismatchTable:
         """Number of mismatches at every shift of base i, slider j, as a new list."""
         return list(self._counts[i, j])
 
-    def shifts_within(self, i: int, j: int, budget: int) -> tuple[tuple[int, ...], ...]:
-        """Per budget b in 0..`budget`, the ascending shifts of base i, slider j within b.
+    def shifts_within(self, i: int, j: int, top: int) -> ShiftsWithin:
+        """Budget b in 0..top -> ascending shifts of base i, slider j with at most b mismatches.
 
-        Entry b of the result is that list, so a budget above `budget` has
-        no entry.  One scan of the pair's counts keeps the few shifts within
-        `budget`, and each smaller budget filters that short list.  Built on
-        first request and kept: the triple and pair builders read the same
-        pairs.
+        One scan of the pair's counts serves every budget (`ShiftsWithin`).
+        Built on first request and kept: the triple and pair builders read
+        the same pairs.
         """
-        found = self._within.get((i, j, budget))
+        found = self._within.get((i, j, top))
         if found is None:
-            counts = enumerate(self._counts[i, j])
-            near = [(shift, count) for shift, count in counts if count <= budget]
-            found = tuple(tuple([shift for shift, count in near if count <= b]) for b in range(budget + 1))
-            self._within[i, j, budget] = found
+            found = self._within[i, j, top] = ShiftsWithin(self._counts[i, j], top)
         return found
 
     def starts(self, i: int, j: int, budget: int) -> tuple[list[int], int]:

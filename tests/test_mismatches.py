@@ -55,18 +55,19 @@ def test_matches_naive_scan_everywhere(strings):
 
 def assert_budget_lists_match_counts(strings, table, top):
     """shifts_within(i, j, top) against a direct scan of counts(i, j): one
-    ascending list per budget 0..top, and no list for a budget above top."""
+    ascending list per budget 0..top, and a KeyError for any other budget."""
     for i in range(len(strings)):
         for j in range(len(strings)):
             if i == j:
                 continue
             counts = table.counts(i, j)
             lists = table.shifts_within(i, j, top)
-            assert len(lists) == top + 1
-            for budget, shifts in enumerate(lists):
-                assert shifts == tuple(shift for shift, count in enumerate(counts) if count <= budget)
-            with pytest.raises(IndexError):
-                lists[top + 1]
+            # the smaller budgets first: each is filtered from the top budget's list
+            for budget in range(top + 1):
+                assert lists[budget] == tuple(shift for shift, count in enumerate(counts) if count <= budget)
+            for budget in (-1, top + 1):
+                with pytest.raises(KeyError):
+                    lists[budget]
 
 
 @given(STRING_SETS, st.integers(min_value=0, max_value=6))
@@ -78,7 +79,11 @@ def test_budget_lists_are_kept_per_top_budget():
     # each top budget has its own lists, and a second request returns the same object
     table = table_for(["abca", "cab"])
     assert table.shifts_within(0, 1, 1) is table.shifts_within(0, 1, 1)
-    assert table.shifts_within(0, 1, 3)[:2] == table.shifts_within(0, 1, 1)
+    wide, narrow = table.shifts_within(0, 1, 3), table.shifts_within(0, 1, 1)
+    assert wide[3] == (0, 1, 2, 3, 4, 5, 6)
+    assert wide[1] == narrow[1] == (0, 1, 4, 5, 6)
+    with pytest.raises(KeyError):
+        narrow[3]
 
 
 @given(STRING_SETS)
