@@ -6,9 +6,9 @@ the answer against the brute-force reference, emit JSON, and report the
 per-phase iteration counters against their closed-form bounds.
 
 Exit codes: 0 success, 1 internal check failed (a reconstructed witness
-failed verification, or a `--counters` counter exceeded its bound), 2 invalid input
-(substring violation, empty input, bad parameters), 3 oracle limits
-exceeded, 4 solver/oracle disagreement.
+failed verification, or a `--counters` counter exceeded its bound), 2
+invalid input (substring violation, empty input, bad parameters), 3 oracle
+limits exceeded, 4 solver/oracle disagreement.
 """
 
 from __future__ import annotations

@@ -49,9 +49,10 @@ class ShiftsWithin(dict):
 
     Holds budgets 0..top and refuses any other with KeyError.  Filled on
     demand: the top budget's list is one scan of the pair's counts, and a
-    smaller budget's list filters that much shorter list on its first
-    lookup.  A search on short strings mostly reads the top budget alone,
-    one on long strings reads them all.
+    smaller budget's list filters that list on its first lookup.  On long
+    strings it is far shorter than the counts, and the merge-core searches
+    read every budget; on short strings they mostly read the top one alone,
+    so no list is built before it is asked for.
     """
 
     __slots__ = ("_counts", "_top")
