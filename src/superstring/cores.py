@@ -45,13 +45,32 @@ Per entry the builder returns the first feasible (length, start) in
 ascending (length, start) order; that placement is the reconstruction
 witness and makes outputs reproducible.  The `core_scan` counter counts the
 cells such a scan visits up to and including the winner, summed from the
-winner's position; the builders themselves look at far fewer.
+winner's position, for every core built; the builders themselves look at
+far fewer.
+
+`build_core_table` builds the pair cores at once and the triple cores on
+demand: the first lookup of any (l, m, r) builds every l of that (m, r)
+pair.  The composition reads a triple core only for a shape that a cheap
+lower bound on it cannot turn away (`CoreTable.triple_floor`), so most are
+never built where the glue decides.  The bound is the largest of:
+
+  * pair_left[l, m] and pair_right[m, r]: a triple cell's count against
+    either anchor alone is at most its count against both, so the same
+    placement is a pair cell at no greater length;
+  * the shortest clean length of l and r, |l|+|r|-overlap(l, r): a window
+    holds both anchors;
+  * when pair_left[l, m] > |l| and pair_right[m, r] > |r|, their sum minus
+    |m|.  With m at start s in a triple window of length L, the window of
+    max(|l|, s+|m|) is a pair_left cell, so pair_left[l, m] <= max(|l|,
+    s+|m|), which the first condition makes s+|m|; mirrored,
+    pair_right[m, r] <= L - s.  Together L >= pair_left + pair_right - |m|.
+    Without the conditions this does not hold: m may sit inside an anchor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import inf
 from operator import ne
@@ -67,13 +86,42 @@ class CorePlacement(NamedTuple):
     m_start: int
 
 
+class _TripleCores(dict):
+    """(l, m, r) -> triple core, built on the first lookup of its (m, r) pair.
+
+    A missing key builds the cores of every l for its (m, r) through
+    `build_triple_cores`, adding their cells to the counters given.
+    """
+
+    def __init__(self, instance: Instance, table: MismatchTable, counters: Counters | None):
+        super().__init__()
+        self._build = (instance, table, counters)
+
+    def __missing__(self, key: tuple[int, int, int]) -> CorePlacement:
+        _, m, r = key
+        self.update(build_triple_cores(*self._build, pairs=[(m, r)]))
+        return dict.__getitem__(self, key)
+
+
 @dataclass
 class CoreTable:
     """Minimal core windows, keyed by string indices."""
 
-    triple: dict[tuple[int, int, int], CorePlacement]
+    triple: Mapping[tuple[int, int, int], CorePlacement]
     pair_left: dict[tuple[int, int], CorePlacement]
     pair_right: dict[tuple[int, int], CorePlacement]
+
+    def triple_floor(self, lengths: Sequence[int], overlap: int, l: int, m: int, r: int) -> int:
+        """A lower bound on triple[l, m, r].length from the pair cores, which builds nothing.
+
+        `overlap` is overlap(l, r); the module docstring says why each term
+        holds.
+        """
+        left, right = self.pair_left[l, m].length, self.pair_right[m, r].length
+        floor = max(left, right, lengths[l] + lengths[r] - overlap)
+        if left > lengths[l] and right > lengths[r]:
+            floor = max(floor, left + right - lengths[m])
+        return floor
 
 
 def overlaid_window(left: str, right: str, length: int) -> str:
@@ -181,10 +229,14 @@ def _first_fit(
 
 
 def build_triple_cores(
-    instance: Instance, table: MismatchTable, counters: Counters | None = None
+    instance: Instance,
+    table: MismatchTable,
+    counters: Counters | None = None,
+    pairs: Iterable[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, int, int], CorePlacement]:
     """Minimal core window for every ordered distinct triple (l, m, r).
 
+    With `pairs`, only the triples whose (m, r) is listed, every l of each.
     Always succeeds: the window that concatenates l, m, r disjointly is
     feasible with zero mismatches, so every entry is finite.
     """
@@ -192,18 +244,18 @@ def build_triple_cores(
     n = instance.n
     k = instance.k
     lengths = [len(s) for s in strings]
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    starts = {(l, m): table.starts(l, m, k) for l, m in pairs}
+    if pairs is None:
+        pairs = [(m, r) for r in range(n) for m in range(n) if m != r]
     result: dict[tuple[int, int, int], CorePlacement] = {}
     work = 0
-    for r, m in pairs:
+    for m, r in pairs:
         len_r, len_m = lengths[r], lengths[m]
         right, within = table.counts(r, m), table.shifts_within(r, m, k)
         for l in range(n):
             if l == m or l == r:
                 continue
             placement = None
-            left, first = starts[l, m]
+            left, first = table.starts(l, m, k)
             # the window lengths below |l|+|r| whose anchor overlay is conflict-free
             overlaid = table.clean_lengths(l, r)
             if overlaid and overlaid[-1] >= len_m:
@@ -262,7 +314,10 @@ def build_pair_cores(
 def build_core_table(
     instance: Instance, table: MismatchTable, counters: Counters | None = None
 ) -> CoreTable:
-    """Build every core the composition step needs for this instance size."""
-    triple = build_triple_cores(instance, table, counters) if instance.n >= 3 else {}
+    """The pair cores, and the triple cores built on demand (`_TripleCores`).
+
+    Cores built later add their cells to the same counters.
+    """
     pair_left, pair_right = build_pair_cores(instance, table, counters)
+    triple = _TripleCores(instance, table, counters)
     return CoreTable(triple=triple, pair_left=pair_left, pair_right=pair_right)

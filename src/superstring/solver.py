@@ -21,7 +21,12 @@ no-substring guarantee of the inputs says nothing about it; anchor-only
 compositions miss exactly those arrangements.
 
 The all-exact chain (the classical shortest superstring of the whole set) is
-always feasible and seeds the minimisation.
+always feasible and seeds the minimisation.  At k = 0 it is the answer, and
+no other shape is composed: the mistake string may then disagree nowhere,
+so every arrangement is an exact superstring, none shorter than the
+shortest chain over all strings (``row_min`` of the full mask), and on a
+tie the baseline, the least kind, wins.  Neither the merge cores nor
+``dp_left`` are built there.
 
 Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
 an absent anchor, searched by a single loop over interior sets: an anchored
@@ -168,7 +173,7 @@ class _Tables:
     out of it from another string (``max_in``, ``max_out``)."""
 
     mismatch: MismatchTable
-    cores: CoreTable
+    cores: CoreTable | None
     overlap: list[list[int]]
     subsets: SubsetTable
     max_in: list[int]
@@ -529,7 +534,11 @@ def _candidates_for_m(instance, tables, m, best, counters):
     glue, or whose glue (or glue bound) `floor` has floor + shortest >=
     cutoff, asks for no window.  An anchored shape's one set takes the same
     test, which for it is the window test, since its window is the merge
-    core.
+    core.  With both anchors `shortest` starts as a lower bound on the
+    triple core (``CoreTable.triple_floor``), and the core is read, and
+    built if no core of its (m, r) is yet, only for the first set whose
+    first glue bound plus that bound is below the cutoff.  A set the bound
+    turns away the core would have turned away too.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -575,7 +584,12 @@ def _candidates_for_m(instance, tables, m, best, counters):
             interiors = [s for s in family if not s & anchors]
             if not interiors:
                 continue
-        shortest = _window(cores, placer, m, l, r, 0, inf)[0] if anchors else lengths[m]
+        # with both anchors, a bound on the triple core until a set needs the core itself
+        built = not both
+        if both:
+            shortest = cores.triple_floor(lengths, overlaps[l][r], l, m, r)
+        else:
+            shortest = _window(cores, placer, m, l, r, 0, inf)[0] if anchors else lengths[m]
         for interior in interiors:
             outside = around ^ interior
             cutoff = best[0] + (kind < best[1])
@@ -583,6 +597,8 @@ def _candidates_for_m(instance, tables, m, best, counters):
                 # the split glue from below: the two chains of any split,
                 # joined at overlap(l, r), are one chain over outside | l | r
                 floor = row_min[outside | anchors] + overlaps[l][r] - lengths[l] - lengths[r]
+                if not built and floor + shortest < cutoff:
+                    shortest, built = cores.triple[l, m, r].length, True
                 # the other bounds only matter for a shape the first one keeps
                 if floor + shortest < cutoff:
                     floor = _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor)
@@ -603,11 +619,15 @@ def _candidates_for_m(instance, tables, m, best, counters):
     return best
 
 
-def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
+def _solve_tables(instance: Instance, counters: Counters, compose: bool = True) -> _Tables:
+    """The tables of one solve; without `compose`, neither the merge cores nor dp_left.
+
+    The baseline reads only the overlaps and dp_right, with its row minima.
+    """
     mismatch = build_mismatch_table(instance, counters)
-    cores = build_core_table(instance, mismatch, counters)
+    cores = build_core_table(instance, mismatch, counters) if compose else None
     overlap = build_overlap_table(instance, mismatch)
-    subsets = build_subset_table(instance, overlap, counters)
+    subsets = build_subset_table(instance, overlap, counters, left=compose)
     # the diagonal holds a string's own length, not an overlap
     n = instance.n
     max_in = [max((overlap[w][v] for w in range(n) if w != v), default=0) for v in range(n)]
@@ -634,11 +654,14 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
             counters=counters,
         )
 
-    tables = _solve_tables(instance, counters)
+    # at k = 0 no candidate beats the baseline (module docstring), so none is composed
+    compose = instance.k > 0
+    tables = _solve_tables(instance, counters, compose)
     counters.composition += n
     best = (tables.subsets.row_min[(1 << n) - 1], _BASELINE, -1, -1, -1, -1, -1)
-    for m in range(n):
-        best = _candidates_for_m(instance, tables, m, best, counters)
+    if compose:
+        for m in range(n):
+            best = _candidates_for_m(instance, tables, m, best, counters)
 
     kind = best[1]
     mistake_index = 0 if kind == _BASELINE else best[2]

@@ -6,9 +6,10 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from superstring import Counters, make_instance, build_mismatch_table
+from superstring import Counters, make_instance, build_mismatch_table, build_overlap_table
 from superstring.cli import GeneratorParams, generate_instance
 from superstring.cores import (
+    build_core_table,
     build_pair_cores,
     build_triple_cores,
     overlaid_window,
@@ -347,3 +348,30 @@ def test_overlaid_count_matches_four_case_reference_on_every_clean_cell(seed):
                 assert got == expected
                 crossing += classify_placement(len_l, len_m, len_r, length, start) == 4
     assert crossing > 0
+
+
+def test_triple_floor_never_exceeds_the_core():
+    # the composition reads a triple core only once floor + glue floor beats
+    # the incumbent, so the floor must be a lower bound on every core: mixed
+    # lengths (m often fits inside an anchor), equal lengths and the
+    # benchmark's tables shape, k 0-4.  The last term, pair_left + pair_right
+    # - |m|, holds only when m fits inside neither anchor within budget
+    instances = [random_valid_instance(6700 + i, n_choices=(4, 5, 6), max_len=10, alphabets=(2, 3, 4), ks=range(5)) for i in range(120)]
+    instances += [equal_length_instance(6900 + i, sizes=(4, 12), counts=(4, 6)) for i in range(40)]
+    instances += [tables_instance(7100 + i) for i in range(3)]
+    checked = tight = raised = 0
+    for inst in instances:
+        table = build_mismatch_table(inst)
+        cores = build_core_table(inst, table)
+        overlap = build_overlap_table(inst, table)
+        lengths = [len(s) for s in inst.strings]
+        for l, m, r in itertools.permutations(range(inst.n), 3):
+            core = cores.triple[l, m, r].length
+            floor = cores.triple_floor(lengths, overlap[l][r], l, m, r)
+            assert floor <= core, (inst.strings, inst.k, l, m, r, floor, core)
+            left, right = cores.pair_left[l, m].length, cores.pair_right[m, r].length
+            checked += 1
+            tight += floor == core
+            raised += floor > max(left, right, lengths[l] + lengths[r] - overlap[l][r])
+    print(f"triple floor: {checked} cores, exact on {tight}, raised by the last term on {raised}")
+    assert tight * 4 >= checked and raised * 20 >= checked, (checked, tight, raised)

@@ -436,6 +436,53 @@ def test_glue_and_window_never_shrink_as_sets_grow():
     assert bare_fits > 1_000, bare_fits
 
 
+def _zero_budget_instances(seed):
+    """Seeded k = 0 draws of the benchmark's shapes: chains at n = 9-13,
+    absorb (one string of 12-16 and 7 of 3-5 over "abc") and tables."""
+    rng = random.Random(seed)
+    instances = [generate_instance(GeneratorParams(9 + draw % 5, 5, 5, 4), rng.randrange(10**9), 0) for draw in range(5)]
+    for _ in range(12):
+        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
+        while len(strings) < 8:
+            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
+            if not any(candidate in s or s in candidate for s in strings):
+                strings.append(candidate)
+        instances.append(make_instance(strings, 0))
+    instances += [generate_instance(GeneratorParams(7, 40, 40, 4), rng.randrange(10**9), 0) for _ in range(2)]
+    return instances
+
+
+def test_zero_budget_composition_never_beats_the_baseline():
+    # at k = 0 every arrangement is exact, so none is shorter than the
+    # all-exact chain, and the baseline wins ties by kind: solve skips the
+    # composition there.  Run it anyway, from the baseline and from an
+    # incumbent one longer, which shapes reaching the baseline's length replace
+    ties = 0
+    for inst in _zero_budget_instances(20261025):
+        tables = _solve_tables(inst, Counters())
+        baseline = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+        longer = (baseline[0] + 1,) + baseline[1:]
+        for m in range(inst.n):
+            assert _candidates_for_m(inst, tables, m, baseline, Counters()) == baseline, (inst.strings, m)
+            best = _candidates_for_m(inst, tables, m, longer, Counters())
+            assert best[0] >= baseline[0], (inst.strings, m, best)
+            ties += best[0] == baseline[0]
+        solution = solve(inst, reconstruct=True)
+        assert (solution.length, solution.mistake_index, solution.mismatch_positions) == (baseline[0], 0, [])
+    print(f"zero budget: {ties} mistake strings reach the baseline's length")
+    assert ties >= 10, ties
+
+
+def test_zero_budget_solve_builds_no_composition_table():
+    # the baseline reads the overlaps and dp_right alone: no merge core,
+    # no dp_left, no window or split scan, and only the n baseline candidates
+    for inst in _zero_budget_instances(20261026):
+        counters = solve(inst, reconstruct=True).counters
+        assert counters.core_scan == counters.dp_left == counters.window_scan == counters.glue_scan == 0
+        assert counters.composition == inst.n
+        assert counters.pair_build > 0 and counters.dp_right == Counters.bounds(inst.n, 1)["dp_right"]
+
+
 def test_carried_incumbent_equals_the_least_candidate_of_every_m():
     # solve threads one incumbent through the mistake strings; that must
     # give the least tuple of restarting every m from the baseline, which a
@@ -524,7 +571,10 @@ def test_fitting_sets_are_every_set_that_fits_with_nothing_fixed():
 def test_fitting_set_sweep_matches_the_sweep_over_every_set():
     # the old sweep asked about every non-empty set of the strings that fit
     # inside m; with the family swapped for that, the candidates, witnesses
-    # and offsets are the same, and so is every counter but window_scan
+    # and offsets are the same, and so is every counter but window_scan and
+    # core_scan.  Triple cores are built on demand, and the every-set sweep
+    # asks about more (shape, set) pairs at the same cutoffs, so it builds
+    # at least the cores the family does
     def every_set(placer):
         fits = sum(1 << e for e, s in enumerate(placer.strings) if len(s) <= placer.len_m - 2)
         return [s for s in _submasks(fits) if s]
@@ -546,7 +596,7 @@ def test_fitting_set_sweep_matches_the_sweep_over_every_set():
         runs.append((bests, solutions))
     (bests, solutions), (old_bests, old_solutions) = runs
     assert bests == old_bests
-    scans_differ = 0
+    scans_differ = cores_fewer = 0
     for inst, got, old in zip(instances, solutions, old_solutions):
         assert (got.length, got.mistake_index, got.witness, got.offsets, got.mismatch_positions) == (
             old.length,
@@ -556,12 +606,18 @@ def test_fitting_set_sweep_matches_the_sweep_over_every_set():
             old.mismatch_positions,
         ), inst.strings
         for name in Counters.NAMES:
-            if name != "window_scan":
+            if name not in ("window_scan", "core_scan"):
                 assert getattr(got.counters, name) == getattr(old.counters, name), (inst.strings, name)
         scans_differ += got.counters.window_scan != old.counters.window_scan
+        assert got.counters.core_scan <= old.counters.core_scan, inst.strings
+        cores_fewer += got.counters.core_scan < old.counters.core_scan
     absorbed = sum(best[1] > _TRIPLE for best in bests)
-    print(f"fitting-set sweep: {len(instances)} instances, {absorbed} absorbed wins, {scans_differ} window_scan changes")
+    print(
+        f"fitting-set sweep: {len(instances)} instances, {absorbed} absorbed wins, "
+        f"{scans_differ} window_scan changes, {cores_fewer} with fewer core_scan"
+    )
     assert absorbed >= 10 and scans_differ >= 10, (absorbed, scans_differ)
+    assert cores_fewer >= 5, cores_fewer
 
 
 def test_split_floor_prunes_without_changing_any_answer():
