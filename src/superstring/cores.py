@@ -58,7 +58,7 @@ never built where the glue decides.  The bound is the largest of:
     either anchor alone is at most its count against both, so the same
     placement is a pair cell at no greater length;
   * the shortest clean length of l and r, |l|+|r|-overlap(l, r): a window
-    holds both anchors;
+    holds both anchors, agreeing where they overlap;
   * when pair_left[l, m] > |l| and pair_right[m, r] > |r|, their sum minus
     |m|.  With m at start s in a triple window of length L, the window of
     max(|l|, s+|m|) is a pair_left cell, so pair_left[l, m] <= max(|l|,

@@ -39,12 +39,21 @@ class Counters:
         # of every ordered pair, sum over i != j of (|s_i| + |s_j|) * |s_j|,
         # which is at most 2c * c per pair and exactly that when all
         # strings have length c.
+        # core_scan counts, for every merge core built, the cells a scan in
+        # ascending (length, start) order visits up to its winner: every
+        # pair core, and the triple cores of each (m, r) pair the
+        # composition reads one of (they are built on demand), so it
+        # depends on the cutoffs; at most n^3 cores of at most 3c lengths
+        # and 3c starts each.
         # dp_right and dp_left count the terms of the subset recurrence, one
         # per ordered pair of distinct members of each mask, read or skipped:
         # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).
         # composition counts the n baseline candidates plus one per anchored
         # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n
         # for n >= 2; a single string returns before any work, all counts 0.
+        # At k = 0 the baseline is the answer and no shape is composed:
+        # composition is n, and core_scan, dp_left, window_scan and
+        # glue_scan are 0 (no merge core or dp_left is built).
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries, fewest options
         # first, under a window's cover or under the bare cover (nothing
