@@ -355,14 +355,18 @@ def test_triple_floor_never_exceeds_the_core():
     # the incumbent, so the floor must be a lower bound on every core: mixed
     # lengths (m often fits inside an anchor), equal lengths and the
     # benchmark's tables shape, k 0-4.  The last term, pair_left + pair_right
-    # - |m|, holds only when m fits inside neither anchor within budget
-    instances = [random_valid_instance(6700 + i, n_choices=(4, 5, 6), max_len=10, alphabets=(2, 3, 4), ks=range(5)) for i in range(120)]
+    # - |m|, holds only when m fits inside neither anchor within budget.
+    # The cores read on demand are the ones built all at once, with the
+    # same core_scan once every one has been read
+    mixed = dict(n_choices=(4, 5, 6), max_len=10, alphabets=(2, 3, 4), ks=range(5))
+    instances = [random_valid_instance(6700 + i, **mixed) for i in range(120)]
     instances += [equal_length_instance(6900 + i, sizes=(4, 12), counts=(4, 6)) for i in range(40)]
     instances += [tables_instance(7100 + i) for i in range(3)]
     checked = tight = raised = 0
     for inst in instances:
         table = build_mismatch_table(inst)
-        cores = build_core_table(inst, table)
+        counters, all_at_once = Counters(), Counters()
+        cores = build_core_table(inst, table, counters)
         overlap = build_overlap_table(inst, table)
         lengths = [len(s) for s in inst.strings]
         for l, m, r in itertools.permutations(range(inst.n), 3):
@@ -373,5 +377,8 @@ def test_triple_floor_never_exceeds_the_core():
             checked += 1
             tight += floor == core
             raised += floor > max(left, right, lengths[l] + lengths[r] - overlap[l][r])
+        assert cores.triple == build_triple_cores(inst, table, all_at_once), inst.strings
+        build_pair_cores(inst, table, all_at_once)
+        assert counters.core_scan == all_at_once.core_scan, inst.strings
     print(f"triple floor: {checked} cores, exact on {tight}, raised by the last term on {raised}")
     assert tight * 4 >= checked and raised * 20 >= checked, (checked, tight, raised)

@@ -440,7 +440,8 @@ def _zero_budget_instances(seed):
     """Seeded k = 0 draws of the benchmark's shapes: chains at n = 9-13,
     absorb (one string of 12-16 and 7 of 3-5 over "abc") and tables."""
     rng = random.Random(seed)
-    instances = [generate_instance(GeneratorParams(9 + draw % 5, 5, 5, 4), rng.randrange(10**9), 0) for draw in range(5)]
+    chains = [GeneratorParams(9 + draw % 5, 5, 5, 4) for draw in range(5)]
+    instances = [generate_instance(params, rng.randrange(10**9), 0) for params in chains]
     for _ in range(12):
         strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
         while len(strings) < 8:
