@@ -52,8 +52,9 @@ class Counters:
         # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n
         # for n >= 2; a single string returns before any work, all counts 0.
         # At k = 0 the baseline is the answer and no shape is composed:
-        # composition is n, and core_scan, dp_left, window_scan and
-        # glue_scan are 0 (no merge core or dp_left is built).
+        # composition is n, and core_scan, window_scan and glue_scan are 0
+        # (no merge core is built); both subset tables are, so dp_right and
+        # dp_left keep their count.
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries, fewest options
         # first, under a window's cover or under the bare cover (nothing

@@ -25,8 +25,11 @@ always feasible and seeds the minimisation.  At k = 0 it is the answer, and
 no other shape is composed: the mistake string may then disagree nowhere,
 so every arrangement is an exact superstring, none shorter than the
 shortest chain over all strings (``row_min`` of the full mask), and on a
-tie the baseline, the least kind, wins.  Neither the merge cores nor
-``dp_left`` are built there.
+tie the baseline, the least kind, wins.  No merge core is built there.
+The subset tables are built whole at every k, ``dp_left`` included, which
+only the composition reads: skipping it as well would leave a k = 0 solve
+at half the time of a k = 1 solve of the same size, and is left open
+(ROADMAP.md).
 
 Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
 an absent anchor, searched by a single loop over interior sets: an anchored
@@ -620,14 +623,14 @@ def _candidates_for_m(instance, tables, m, best, counters):
 
 
 def _solve_tables(instance: Instance, counters: Counters, compose: bool = True) -> _Tables:
-    """The tables of one solve; without `compose`, neither the merge cores nor dp_left.
+    """The tables of one solve; without `compose`, no merge cores.
 
-    The baseline reads only the overlaps and dp_right, with its row minima.
+    The subset tables are built whole either way (module docstring).
     """
     mismatch = build_mismatch_table(instance, counters)
     cores = build_core_table(instance, mismatch, counters) if compose else None
     overlap = build_overlap_table(instance, mismatch)
-    subsets = build_subset_table(instance, overlap, counters, left=compose)
+    subsets = build_subset_table(instance, overlap, counters)
     # the diagonal holds a string's own length, not an overlap
     n = instance.n
     max_in = [max((overlap[w][v] for w in range(n) if w != v), default=0) for v in range(n)]

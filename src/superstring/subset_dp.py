@@ -213,21 +213,15 @@ def _chain_dp(
 
 
 def build_subset_table(
-    instance: Instance,
-    overlap: Sequence[Sequence[int]],
-    counters: Counters | None = None,
-    left: bool = True,
+    instance: Instance, overlap: Sequence[Sequence[int]], counters: Counters | None = None
 ) -> SubsetTable:
     """Both tables, filled in turn against one shared array of row minima.
 
     ``dp_left`` is the ``dp_right`` recurrence on the transposed overlaps.
-    Without `left` it is not filled and holds no column.
     """
     row_min = _row_minima(instance)
     dp_right, right_work = _chain_dp(instance, overlap, row_min)
-    dp_left, left_work = [], 0
-    if left:
-        dp_left, left_work = _chain_dp(instance, list(zip(*overlap)), row_min, row_min_filled=True)
+    dp_left, left_work = _chain_dp(instance, list(zip(*overlap)), row_min, row_min_filled=True)
     if counters is not None:
         counters.dp_right += right_work
         counters.dp_left += left_work

@@ -474,14 +474,16 @@ def test_zero_budget_composition_never_beats_the_baseline():
     assert ties >= 10, ties
 
 
-def test_zero_budget_solve_builds_no_composition_table():
-    # the baseline reads the overlaps and dp_right alone: no merge core,
-    # no dp_left, no window or split scan, and only the n baseline candidates
+def test_zero_budget_solve_builds_no_merge_core():
+    # no merge core, no window or split scan, and only the n baseline
+    # candidates; both subset tables are still built whole
     for inst in _zero_budget_instances(20261026):
         counters = solve(inst, reconstruct=True).counters
-        assert counters.core_scan == counters.dp_left == counters.window_scan == counters.glue_scan == 0
+        assert counters.core_scan == counters.window_scan == counters.glue_scan == 0
         assert counters.composition == inst.n
-        assert counters.pair_build > 0 and counters.dp_right == Counters.bounds(inst.n, 1)["dp_right"]
+        bounds = Counters.bounds(inst.n, 1)
+        assert counters.pair_build > 0
+        assert (counters.dp_right, counters.dp_left) == (bounds["dp_right"], bounds["dp_left"])
 
 
 def test_carried_incumbent_equals_the_least_candidate_of_every_m():
