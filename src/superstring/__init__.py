@@ -7,7 +7,7 @@ also ships an independent brute-force reference for small instances and a
 CLI front end.
 """
 
-from .cores import CorePlacement, CoreTable, build_core_table, build_pair_cores, build_triple_cores
+from .cores import CorePlacement, CoreTable, build_pair_cores, build_triple_cores
 from .counters import Counters
 from .instance import (
     Instance,
@@ -43,7 +43,6 @@ __all__ = [
     "ValidationReport",
     "brute_force_min_length",
     "brute_force_scs",
-    "build_core_table",
     "build_mismatch_table",
     "build_overlap_table",
     "build_pair_cores",

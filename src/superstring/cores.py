@@ -35,11 +35,14 @@ builders split the window lengths into two regimes:
 Both regimes begin at the first start whose count against l alone is
 within k: every earlier start is over budget before r is read.  The table
 finds that start once per (l, m) and keeps it with the per-start counts,
-for all n - 2 right anchors and for pair_left.
+for all n - 2 right anchors and for the core with l alone.
 
-The *pair cores* are the degenerate variants used when the mistake string is
-the overall first or last string: only one anchor, at the left (pair_left)
-or right (pair_right) edge, so every cell is in the disjoint regime.
+A core is keyed (l, m, r) like the solver's shapes, -1 marking an absent
+anchor.  The *pair cores* (l, m, -1) and (-1, m, r) are the degenerate
+variants used when the mistake string is the overall last or first string:
+only one anchor, at the left or right edge, so every cell is in the
+disjoint regime.  An absent anchor has no counts and no length, so one
+per-(m, r) search builds both kinds.
 
 Per entry the builder returns the first feasible (length, start) in
 ascending (length, start) order; that placement is the reconstruction
@@ -48,30 +51,30 @@ cells such a scan visits up to and including the winner, summed from the
 winner's position, for every core built; the builders themselves look at
 far fewer.
 
-`build_core_table` builds the pair cores at once and the triple cores on
-demand: the first lookup of any (l, m, r) builds every l of that (m, r)
-pair.  The composition reads a triple core only for a shape that a cheap
-lower bound on it cannot turn away (`CoreTable.triple_floor`), so most are
-never built where the glue decides.  The bound is the largest of:
+`CoreTable` builds every core on its first lookup: any key with an absent
+anchor builds all the pair cores, and any (l, m, r) with both builds every
+l of its (m, r) pair.  The composition reads a triple core only for a shape
+that a cheap lower bound on it cannot turn away (`CoreTable.triple_floor`),
+so most are never built where the glue decides.  The bound is the largest
+of these, each core standing for its length:
 
-  * pair_left[l, m] and pair_right[m, r]: a triple cell's count against
-    either anchor alone is at most its count against both, so the same
-    placement is a pair cell at no greater length;
+  * (l, m, -1) and (-1, m, r): a triple cell's count against either anchor
+    alone is at most its count against both, so the same placement is a
+    pair cell at no greater length;
   * the shortest clean length of l and r, |l|+|r|-overlap(l, r): a window
     holds both anchors, agreeing where they overlap;
-  * when pair_left[l, m] > |l| and pair_right[m, r] > |r|, their sum minus
-    |m|.  With m at start s in a triple window of length L, the window of
-    max(|l|, s+|m|) is a pair_left cell, so pair_left[l, m] <= max(|l|,
-    s+|m|), which the first condition makes s+|m|; mirrored,
-    pair_right[m, r] <= L - s.  Together L >= pair_left + pair_right - |m|.
-    Without the conditions this does not hold: m may sit inside an anchor.
+  * when (l, m, -1) > |l| and (-1, m, r) > |r|, their sum minus |m|.  With
+    m at start s in a triple window of length L, the window of max(|l|,
+    s+|m|) is a cell of (l, m, -1), so (l, m, -1) <= max(|l|, s+|m|), which
+    the first condition makes s+|m|; mirrored, (-1, m, r) <= L - s.
+    Together L >= (l, m, -1) + (-1, m, r) - |m|.  Without the conditions
+    this does not hold: m may sit inside an anchor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from math import inf
 from operator import ne
 from typing import NamedTuple
@@ -86,38 +89,37 @@ class CorePlacement(NamedTuple):
     m_start: int
 
 
-class _TripleCores(dict):
-    """(l, m, r) -> triple core, built on the first lookup of its (m, r) pair.
+class CoreTable(dict):
+    """(l, m, r) -> merge core, -1 marking an absent anchor, built on first lookup.
 
-    A missing key builds the cores of every l for its (m, r) through
-    `build_triple_cores`, adding their cells to the counters given.
+    A missing key with an absent anchor builds every one-anchor core
+    (`build_pair_cores`); one with both anchors builds the cores of every l
+    of its (m, r) pair (`build_triple_cores`).  Either adds its cells to the
+    counters given.
     """
 
-    def __init__(self, instance: Instance, table: MismatchTable, counters: Counters | None):
+    def __init__(self, instance: Instance, table: MismatchTable, counters: Counters | None = None):
         super().__init__()
         self._build = (instance, table, counters)
 
     def __missing__(self, key: tuple[int, int, int]) -> CorePlacement:
-        _, m, r = key
-        self.update(build_triple_cores(*self._build, pairs=[(m, r)]))
-        return dict.__getitem__(self, key)
-
-
-@dataclass
-class CoreTable:
-    """Minimal core windows, keyed by string indices."""
-
-    triple: Mapping[tuple[int, int, int], CorePlacement]
-    pair_left: dict[tuple[int, int], CorePlacement]
-    pair_right: dict[tuple[int, int], CorePlacement]
+        l, m, r = key
+        # the builders are read by their module-level names, so a wrapper
+        # bound to those names (the bench's tracer) sees every core built
+        if l < 0 or r < 0:
+            built = build_pair_cores(*self._build)
+        else:
+            built = build_triple_cores(*self._build, pairs=[(m, r)])
+        self.update(built)
+        return built[key]  # a key no builder makes raises KeyError here
 
     def triple_floor(self, lengths: Sequence[int], overlap: int, l: int, m: int, r: int) -> int:
-        """A lower bound on triple[l, m, r].length from the pair cores, which builds nothing.
+        """A lower bound on self[l, m, r].length from the one-anchor cores, which builds no triple core.
 
         `overlap` is overlap(l, r); the module docstring says why each term
         holds.
         """
-        left, right = self.pair_left[l, m].length, self.pair_right[m, r].length
+        left, right = self[l, m, -1].length, self[-1, m, r].length
         floor = max(left, right, lengths[l] + lengths[r] - overlap)
         if left > lengths[l] and right > lengths[r]:
             floor = max(floor, left + right - lengths[m])
@@ -228,6 +230,47 @@ def _first_fit(
     return CorePlacement(best_len, best_start), missed + best_start + 1
 
 
+def _build_cores(
+    instance: Instance,
+    table: MismatchTable,
+    groups: Iterable[tuple[int, int, list[int]]],
+    counters: Counters | None,
+) -> dict[tuple[int, int, int], CorePlacement]:
+    """The core of (l, m, r) for every l listed with each (m, r), -1 marking an absent anchor.
+
+    One search per (m, r): the right anchor's counts and budget lists are
+    read once for all its left anchors.  An absent anchor has no counts and
+    no length, so `_first_fit` serves it unchanged, and only two anchors can
+    overlap.
+    """
+    strings = instance.strings
+    k = instance.k
+    lengths = [len(s) for s in strings] + [0]  # lengths[-1]: an absent anchor takes no room
+    result: dict[tuple[int, int, int], CorePlacement] = {}
+    work = 0
+    for m, r, anchors in groups:
+        len_m, len_r = lengths[m], lengths[r]
+        right, within = (table.counts(r, m), table.shifts_within(r, m)) if r >= 0 else ([], {})
+        for l in anchors:
+            placement = None
+            left, first = table.starts(l, m) if l >= 0 else ([], 0)
+            if l >= 0 and r >= 0:
+                # the window lengths below |l|+|r| whose anchor overlay is conflict-free
+                overlaid = table.clean_lengths(l, r)
+                if overlaid and overlaid[-1] >= len_m:
+                    placement, cells = _first_overlapping_fit(
+                        strings[l], strings[m], strings[r], overlaid, left, right, first, k
+                    )
+                    work += cells
+            if placement is None:
+                placement, cells = _first_fit(left, first, right, within, len_m, lengths[l] + len_r, k)
+                work += cells
+            result[l, m, r] = placement
+    if counters is not None:
+        counters.core_scan += work
+    return result
+
+
 def build_triple_cores(
     instance: Instance,
     table: MismatchTable,
@@ -240,84 +283,23 @@ def build_triple_cores(
     Always succeeds: the window that concatenates l, m, r disjointly is
     feasible with zero mismatches, so every entry is finite.
     """
-    strings = instance.strings
     n = instance.n
-    k = instance.k
-    lengths = [len(s) for s in strings]
     if pairs is None:
         pairs = [(m, r) for r in range(n) for m in range(n) if m != r]
-    result: dict[tuple[int, int, int], CorePlacement] = {}
-    work = 0
-    for m, r in pairs:
-        len_r, len_m = lengths[r], lengths[m]
-        right, within = table.counts(r, m), table.shifts_within(r, m, k)
-        for l in range(n):
-            if l == m or l == r:
-                continue
-            placement = None
-            left, first = table.starts(l, m, k)
-            # the window lengths below |l|+|r| whose anchor overlay is conflict-free
-            overlaid = table.clean_lengths(l, r)
-            if overlaid and overlaid[-1] >= len_m:
-                placement, cells = _first_overlapping_fit(
-                    strings[l], strings[m], strings[r], overlaid, left, right, first, k
-                )
-                work += cells
-            if placement is None:
-                lo = lengths[l] + len_r
-                placement, cells = _first_fit(left, first, right, within, len_m, lo, k)
-                work += cells
-            result[l, m, r] = placement
-    if counters is not None:
-        counters.core_scan += work
-    return result
+    groups = [(m, r, [l for l in range(n) if l != m and l != r]) for m, r in pairs]
+    return _build_cores(instance, table, groups, counters)
 
 
 def build_pair_cores(
     instance: Instance, table: MismatchTable, counters: Counters | None = None
-) -> tuple[dict[tuple[int, int], CorePlacement], dict[tuple[int, int], CorePlacement]]:
-    """Minimal left-anchored and right-anchored pair cores.
+) -> dict[tuple[int, int, int], CorePlacement]:
+    """Minimal one-anchor cores, keyed (l, m, -1) and (-1, m, r).
 
-    pair_left[(l, m)]: l at the window's left edge, m anywhere inside,
-    mismatches counted against l only.  pair_right[(m, r)] is the mirror
-    image with r at the right edge.
+    (l, m, -1): l at the window's left edge, m anywhere inside, mismatches
+    counted against l only.  (-1, m, r) is the mirror image with r at the
+    right edge.
     """
     n = instance.n
-    k = instance.k
-    lengths = [len(s) for s in instance.strings]
-    pair_left: dict[tuple[int, int], CorePlacement] = {}
-    pair_right: dict[tuple[int, int], CorePlacement] = {}
-    work = 0
-    for l in range(n):
-        for m in range(n):
-            if m == l:
-                continue
-            left, first = table.starts(l, m, k)
-            lo = max(lengths[l], lengths[m])
-            # no right anchor: m is clear of it at every d >= |m|, so `within` is never read
-            pair_left[l, m], cells = _first_fit(left, first, [], {}, lengths[m], lo, k)
-            work += cells
-    for m in range(n):
-        for r in range(n):
-            if r == m:
-                continue
-            within = table.shifts_within(r, m, k)
-            lo = max(lengths[m], lengths[r])
-            right = table.counts(r, m)
-            pair_right[m, r], cells = _first_fit([], 0, right, within, lengths[m], lo, k)
-            work += cells
-    if counters is not None:
-        counters.core_scan += work
-    return pair_left, pair_right
-
-
-def build_core_table(
-    instance: Instance, table: MismatchTable, counters: Counters | None = None
-) -> CoreTable:
-    """The pair cores, and the triple cores built on demand (`_TripleCores`).
-
-    Cores built later add their cells to the same counters.
-    """
-    pair_left, pair_right = build_pair_cores(instance, table, counters)
-    triple = _TripleCores(instance, table, counters)
-    return CoreTable(triple=triple, pair_left=pair_left, pair_right=pair_right)
+    groups = [(m, -1, [l for l in range(n) if l != m]) for m in range(n)]
+    groups += [(m, r, [-1]) for m in range(n) for r in range(n) if r != m]
+    return _build_cores(instance, table, groups, counters)

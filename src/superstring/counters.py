@@ -40,11 +40,13 @@ class Counters:
         # which is at most 2c * c per pair and exactly that when all
         # strings have length c.
         # core_scan counts, for every merge core built, the cells a scan in
-        # ascending (length, start) order visits up to its winner: every
-        # pair core, and the triple cores of each (m, r) pair the
-        # composition reads one of (they are built on demand), so it
-        # depends on the cutoffs; at most n^3 cores of at most 3c lengths
-        # and 3c starts each.
+        # ascending (length, start) order visits up to its winner.  Cores
+        # are built on their first lookup, a group at a time: the first
+        # pair core read builds all 2n(n-1) of them, and every solve at
+        # k >= 1 reads one; the first triple core read of an (m, r) pair
+        # builds its n - 2, and the composition reads one only past a
+        # cutoff, so the count depends on the cutoffs.  At most n^3 cores
+        # of at most 3c lengths and 3c starts each.
         # dp_right and dp_left count the terms of the subset recurrence, one
         # per ordered pair of distinct members of each mask, read or skipped:
         # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).
@@ -53,8 +55,8 @@ class Counters:
         # for n >= 2; a single string returns before any work, all counts 0.
         # At k = 0 the baseline is the answer and no shape is composed:
         # composition is n, and core_scan, window_scan and glue_scan are 0
-        # (no merge core is built); both subset tables are, so dp_right and
-        # dp_left keep their count.
+        # (nothing looks a merge core up, so none is built); both subset
+        # tables are, so dp_right and dp_left keep their count.
         # window_scan counts the absorbed-shape work: anchor windows a scan
         # visits plus interior placements the search tries, fewest options
         # first, under a window's cover or under the bare cover (nothing

@@ -27,8 +27,9 @@ builder, the absorbed-scan engine and the overlap table read clean
 alignments as window lengths from `clean_lengths`, and the merge cores read
 per-shift counts from `counts`, per-start counts from `starts`, and from
 `shifts_within` the shifts within each budget 0..k, built in one scan of
-the pair.  Mismatch positions are not kept: a solution's positions are read
-off its witness.
+the pair; k is the budget of the instance the table is built from.
+Mismatch positions are not kept: a solution's positions are read off its
+witness.
 """
 
 from __future__ import annotations
@@ -75,46 +76,54 @@ class ShiftsWithin(dict):
 
 
 class MismatchTable:
-    """Immutable mismatch counts for every ordered string pair and shift."""
+    """Immutable mismatch counts for every ordered string pair and shift.
 
-    def __init__(self, strings: tuple[str, ...], counts: dict[tuple[int, int], list[int]]):
-        self._lengths = tuple(map(len, strings))
+    The per-budget views (`starts`, `shifts_within`) read the budget k of
+    the instance the table was built from.
+    """
+
+    def __init__(self, instance: Instance, counts: dict[tuple[int, int], list[int]]):
+        self._lengths = tuple(map(len, instance.strings))
+        self._k = instance.k
         self._counts = counts
-        self._within: dict[tuple[int, int, int], ShiftsWithin] = {}
-        self._starts: dict[tuple[int, int, int], tuple[list[int], int]] = {}
+        self._within: dict[tuple[int, int], ShiftsWithin] = {}
+        self._starts: dict[tuple[int, int], tuple[list[int], int]] = {}
         self._clean: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def counts(self, i: int, j: int) -> list[int]:
-        """Number of mismatches at every shift of base i, slider j, as a new list."""
-        return list(self._counts[i, j])
+        """Number of mismatches at every shift of base i, slider j.
 
-    def shifts_within(self, i: int, j: int, top: int) -> ShiftsWithin:
-        """Budget b in 0..top -> ascending shifts of base i, slider j with at most b mismatches.
+        The table's own list; callers must not change it.
+        """
+        return self._counts[i, j]
+
+    def shifts_within(self, i: int, j: int) -> ShiftsWithin:
+        """Budget b in 0..k -> ascending shifts of base i, slider j with at most b mismatches.
 
         One scan of the pair's counts serves every budget (`ShiftsWithin`).
         Built on first request and kept: the triple and pair builders read
         the same pairs.
         """
-        found = self._within.get((i, j, top))
+        found = self._within.get((i, j))
         if found is None:
-            found = self._within[i, j, top] = ShiftsWithin(self._counts[i, j], top)
+            found = self._within[i, j] = ShiftsWithin(self._counts[i, j], self._k)
         return found
 
-    def starts(self, i: int, j: int, budget: int) -> tuple[list[int], int]:
-        """Mismatches of j starting at each position of i, and the first start within `budget`.
+    def starts(self, i: int, j: int) -> tuple[list[int], int]:
+        """Mismatches of j starting at each position of i, and the first start within k.
 
         Entry s, for s in [0, |i|], counts j with its first character on
         position s of i, at shift s + |j| - 1.  The last entry leaves no
         overlap and is 0, so a start within any budget >= 0 exists.  Built
         on first request and kept; callers must not change the list.
         """
-        found = self._starts.get((i, j, budget))
+        found = self._starts.get((i, j))
         if found is None:
             by_start = self._counts[i, j][self._lengths[j] - 1 :]
             first = 0
-            while by_start[first] > budget:
+            while by_start[first] > self._k:
                 first += 1
-            found = self._starts[i, j, budget] = (by_start, first)
+            found = self._starts[i, j] = (by_start, first)
         return found
 
     def clean_lengths(self, i: int, j: int) -> tuple[int, ...]:
@@ -183,4 +192,4 @@ def build_mismatch_table(instance: Instance, counters: Counters | None = None) -
                 work += span ** 2
     if counters is not None:
         counters.pair_build += work
-    return MismatchTable(tuple(strings), counts)
+    return MismatchTable(instance, counts)

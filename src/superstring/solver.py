@@ -25,7 +25,8 @@ always feasible and seeds the minimisation.  At k = 0 it is the answer, and
 no other shape is composed: the mistake string may then disagree nowhere,
 so every arrangement is an exact superstring, none shorter than the
 shortest chain over all strings (``row_min`` of the full mask), and on a
-tie the baseline, the least kind, wins.  No merge core is built there.
+tie the baseline, the least kind, wins.  No merge core is built there:
+the core table builds each on its first lookup, and nothing looks one up.
 The subset tables are built whole at every k, ``dp_left`` included, which
 only the composition reads: skipping it as well would leave a k = 0 solve
 at half the time of a k = 1 solve of the same size, and is left open
@@ -88,16 +89,16 @@ search that places the strings with the fewest options first, ties by index
 the same engine for the winning offsets, placing the strings in index
 order.
 
-Before any window is built or visited, a set is asked about under the bare
-cover, the one with nothing fixed and no budget spent.  An anchor window's
-cover only fixes more characters and spends more budget, so placements that
-fit under it fit under the bare cover too: a set that does not fit there
-fits under no window, and the walk is skipped.  This is the relaxation
-bound of branch and bound.  The sets that pass it are listed once per
-mistake string (``_Placer.fitting_sets``): a subset of a fitting set fits
-too, so the list grows from the fitting strings, one bare search per
-extension of a set already listed.  Almost no set of the strings that fit
-inside m one at a time fits there all at once, so the list is short.
+The bare cover, the one with nothing fixed and no budget spent, is the
+relaxation bound of branch and bound.  An anchor window's cover only fixes
+more characters and spends more budget, so placements that fit under it
+fit under the bare cover too: a set that does not fit there fits under no
+window.  The sets that do are listed once per mistake string
+(``_Placer.fitting_sets``), and only they are asked a window for: a subset
+of a fitting set fits too, so the list grows from the fitting strings, one
+bare search per extension of a set already listed.  Almost no set of the
+strings that fit inside m one at a time fits there all at once, so the
+list is short.
 
 Every absorbed shape tries only the listed sets that avoid its anchors, in
 descending mask order.  A set left off the list gets no window, so leaving
@@ -121,9 +122,8 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
-from .cores import CoreTable, build_core_table
+from .cores import CoreTable
 from .counters import Counters
 from .instance import Instance, InvalidInstanceError, validate
 from .mismatches import MismatchTable, build_mismatch_table
@@ -176,7 +176,7 @@ class _Tables:
     out of it from another string (``max_in``, ``max_out``)."""
 
     mismatch: MismatchTable
-    cores: CoreTable | None
+    cores: CoreTable
     overlap: list[list[int]]
     subsets: SubsetTable
     max_in: list[int]
@@ -249,9 +249,9 @@ class _Placer:
     interior sets asked, since whether a set fits depends only on the cover,
     and, per string, the placements that agree with it within budget, its
     options, filtered the first time a question asks for them (`_order`).
-    The bare cover, with nothing fixed, is built first; every set is asked
-    about under it before any window, `fitting_sets` lists the sets that fit
-    there, and it is also the cover of the window with no anchors.
+    The bare cover, with nothing fixed, is built first; `fitting_sets` lists
+    the sets that fit under it, the only sets a window is asked for, and it
+    is also the cover of the window with no anchors.
     """
 
     def __init__(self, instance, table, m, fits, counters):
@@ -414,13 +414,10 @@ class _Placer:
         """(length, start, cover) of the first window below cutoff holding interior_mask, or None.
 
         The window holds m, the anchors l and r, and every string of
-        interior_mask strictly inside m.  A window's cover only adds fixed
-        characters to the bare one, and its cost, so a set that does not fit
-        under the bare cover fits under no window: it is turned away before
-        any window is built or visited.
+        interior_mask strictly inside m.  Callers ask only about sets that
+        fit under the bare cover: the composition about sets of
+        `fitting_sets`, reconstruction about the winner's.
         """
-        if not self.holds(self.bare, interior_mask):
-            return None
         if self.anchors != (l, r):
             self._use_anchors(l, r)
         counters = self.counters
@@ -503,12 +500,7 @@ def _window(cores, placer, m, l, r, interior_mask, cutoff):
     """
     if interior_mask:
         return placer.first_window(l, r, interior_mask, cutoff)
-    if l >= 0 and r >= 0:
-        core = cores.triple[l, m, r]
-    elif l >= 0:
-        core = cores.pair_left[l, m]
-    else:
-        core = cores.pair_right[m, r]
+    core = cores[l, m, r]
     return (core.length, core.m_start, None) if core.length < cutoff else None
 
 
@@ -531,17 +523,17 @@ def _candidates_for_m(instance, tables, m, best, counters):
     against a lower bound on its glue, and scans its chain splits only when
     a window comes back.
 
-    `shortest` is the merge core of the shape's anchors and m (|m| with no
-    anchors), the shortest window that holds them at all, and `cutoff` the
-    least length that cannot win, best[0] + (kind < best[1]).  A set with no
-    glue, or whose glue (or glue bound) `floor` has floor + shortest >=
-    cutoff, asks for no window.  An anchored shape's one set takes the same
-    test, which for it is the window test, since its window is the merge
-    core.  With both anchors `shortest` starts as a lower bound on the
-    triple core (``CoreTable.triple_floor``), and the core is read, and
-    built if no core of its (m, r) is yet, only for the first set whose
-    first glue bound plus that bound is below the cutoff.  A set the bound
-    turns away the core would have turned away too.
+    `shortest` is the merge core cores[l, m, r] of the shape's anchors and
+    m (|m| with no anchors), the shortest window that holds them at all,
+    and `cutoff` the least length that cannot win, best[0] + (kind <
+    best[1]).  A set with no glue, or whose glue (or glue bound) `floor` has
+    floor + shortest >= cutoff, asks for no window.  An anchored shape's one
+    set takes the same test, which for it is the window test, since its
+    window is the merge core.  With both anchors `shortest` starts as a
+    lower bound on the core (``CoreTable.triple_floor``), and the core is
+    read, which builds the cores of its (m, r) if none is built yet, only
+    for the first set whose first glue bound plus that bound is below the
+    cutoff.  A set the bound turns away the core would have turned away too.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -592,7 +584,7 @@ def _candidates_for_m(instance, tables, m, best, counters):
         if both:
             shortest = cores.triple_floor(lengths, overlaps[l][r], l, m, r)
         else:
-            shortest = _window(cores, placer, m, l, r, 0, inf)[0] if anchors else lengths[m]
+            shortest = cores[l, m, r].length if anchors else lengths[m]
         for interior in interiors:
             outside = around ^ interior
             cutoff = best[0] + (kind < best[1])
@@ -601,7 +593,7 @@ def _candidates_for_m(instance, tables, m, best, counters):
                 # joined at overlap(l, r), are one chain over outside | l | r
                 floor = row_min[outside | anchors] + overlaps[l][r] - lengths[l] - lengths[r]
                 if not built and floor + shortest < cutoff:
-                    shortest, built = cores.triple[l, m, r].length, True
+                    shortest, built = cores[l, m, r].length, True
                 # the other bounds only matter for a shape the first one keeps
                 if floor + shortest < cutoff:
                     floor = _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor)
@@ -622,13 +614,10 @@ def _candidates_for_m(instance, tables, m, best, counters):
     return best
 
 
-def _solve_tables(instance: Instance, counters: Counters, compose: bool = True) -> _Tables:
-    """The tables of one solve; without `compose`, no merge cores.
-
-    The subset tables are built whole either way (module docstring).
-    """
+def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
+    """The tables of one solve; each merge core is built on its first lookup."""
     mismatch = build_mismatch_table(instance, counters)
-    cores = build_core_table(instance, mismatch, counters) if compose else None
+    cores = CoreTable(instance, mismatch, counters)
     overlap = build_overlap_table(instance, mismatch)
     subsets = build_subset_table(instance, overlap, counters)
     # the diagonal holds a string's own length, not an overlap
@@ -657,12 +646,11 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
             counters=counters,
         )
 
-    # at k = 0 no candidate beats the baseline (module docstring), so none is composed
-    compose = instance.k > 0
-    tables = _solve_tables(instance, counters, compose)
+    tables = _solve_tables(instance, counters)
     counters.composition += n
     best = (tables.subsets.row_min[(1 << n) - 1], _BASELINE, -1, -1, -1, -1, -1)
-    if compose:
+    # at k = 0 no candidate beats the baseline (module docstring), so none is composed
+    if instance.k > 0:
         for m in range(n):
             best = _candidates_for_m(instance, tables, m, best, counters)
 

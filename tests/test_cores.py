@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from superstring import Counters, make_instance, build_mismatch_table, build_overlap_table
 from superstring.cli import GeneratorParams, generate_instance
-from superstring.cores import (
-    build_core_table,
-    build_pair_cores,
-    build_triple_cores,
-    overlaid_window,
-)
+from superstring.cores import CoreTable, build_pair_cores, build_triple_cores, overlaid_window
 from conftest import naive_mismatch_positions, random_valid_instance, window_min_length, window_placement
 
 
@@ -22,7 +17,7 @@ def triple_table(strings, k):
     return build_triple_cores(inst, build_mismatch_table(inst))
 
 
-def pair_tables(strings, k):
+def pair_table(strings, k):
     inst = make_instance(strings, k)
     return build_pair_cores(inst, build_mismatch_table(inst))
 
@@ -119,20 +114,17 @@ def test_triple_disjoint():
 
 
 def test_pair_right_full_overlay():
-    _, pair_right = pair_tables(["cc", "ab"], 2)
-    assert pair_right[0, 1].length == 2
+    assert pair_table(["cc", "ab"], 2)[-1, 0, 1].length == 2
     assert window_min_length(None, "cc", "ab", 2) == 2
 
 
 def test_pair_left_clean_overlap():
-    pair_left, _ = pair_tables(["ab", "bc"], 0)
-    assert pair_left[0, 1].length == 3
+    assert pair_table(["ab", "bc"], 0)[0, 1, -1].length == 3
     assert window_min_length("ab", "bc", None, 0) == 3
 
 
 def test_pair_left_disjoint():
-    pair_left, _ = pair_tables(["ab", "cd"], 0)
-    assert pair_left[0, 1].length == 4
+    assert pair_table(["ab", "cd"], 0)[0, 1, -1].length == 4
     assert window_min_length("ab", "cd", None, 0) == 4
 
 
@@ -177,13 +169,13 @@ def test_triples_match_window_oracle(strings, k):
     st.integers(min_value=0, max_value=3),
 )
 def test_pairs_match_window_oracle(strings, k):
-    pair_left, pair_right = pair_tables(strings, k)
+    pairs = pair_table(strings, k)
     for l in range(len(strings)):
         for m in range(len(strings)):
             if l == m:
                 continue
-            assert pair_left[l, m].length == window_min_length(strings[l], strings[m], None, k)
-            assert pair_right[m, l].length == window_min_length(None, strings[m], strings[l], k)
+            assert pairs[l, m, -1].length == window_min_length(strings[l], strings[m], None, k)
+            assert pairs[-1, m, l].length == window_min_length(None, strings[m], strings[l], k)
 
 
 @settings(max_examples=40)
@@ -302,7 +294,7 @@ def test_core_placements_and_scan_match_cell_oracle(inst):
     table = build_mismatch_table(inst)
     triple_counters, pair_counters = Counters(), Counters()
     triple = build_triple_cores(inst, table, triple_counters) if inst.n >= 3 else {}
-    pair_left, pair_right = build_pair_cores(inst, table, pair_counters)
+    pairs = build_pair_cores(inst, table, pair_counters)
 
     cells = 0
     for (l, m, r), placement in triple.items():
@@ -313,15 +305,13 @@ def test_core_placements_and_scan_match_cell_oracle(inst):
     assert triple_counters.core_scan == cells
 
     cells = 0
-    for (l, m), placement in pair_left.items():
-        length, start, visited = window_placement(strings[l], strings[m], None, k)
-        assert placement == (length, start), (l, m)
+    for (l, m, r), placement in pairs.items():
+        left, right = (strings[l] if l >= 0 else None), (strings[r] if r >= 0 else None)
+        length, start, visited = window_placement(left, strings[m], right, k)
+        assert placement == (length, start), (l, m, r)
         cells += visited
-    for (m, r), placement in pair_right.items():
-        length, start, visited = window_placement(None, strings[m], strings[r], k)
-        assert placement == (length, start), (m, r)
-        cells += visited
-    assert len(pair_left) == len(pair_right) == inst.n * (inst.n - 1)
+    ordered = list(itertools.permutations(range(inst.n), 2))
+    assert set(pairs) == {(l, m, -1) for l, m in ordered} | {(-1, m, r) for m, r in ordered}
     assert pair_counters.core_scan == cells
 
 
@@ -354,10 +344,10 @@ def test_triple_floor_never_exceeds_the_core():
     # the composition reads a triple core only once floor + glue floor beats
     # the incumbent, so the floor must be a lower bound on every core: mixed
     # lengths (m often fits inside an anchor), equal lengths and the
-    # benchmark's tables shape, k 0-4.  The last term, pair_left + pair_right
-    # - |m|, holds only when m fits inside neither anchor within budget.
-    # The cores read on demand are the ones built all at once, with the
-    # same core_scan once every one has been read
+    # benchmark's tables shape, k 0-4.  The last term, (l, m, -1) +
+    # (-1, m, r) - |m|, holds only when m fits inside neither anchor within
+    # budget.  The cores read on demand are the ones built all at once, with
+    # the same core_scan once every one has been read
     mixed = dict(n_choices=(4, 5, 6), max_len=10, alphabets=(2, 3, 4), ks=range(5))
     instances = [random_valid_instance(6700 + i, **mixed) for i in range(120)]
     instances += [equal_length_instance(6900 + i, sizes=(4, 12), counts=(4, 6)) for i in range(40)]
@@ -366,19 +356,58 @@ def test_triple_floor_never_exceeds_the_core():
     for inst in instances:
         table = build_mismatch_table(inst)
         counters, all_at_once = Counters(), Counters()
-        cores = build_core_table(inst, table, counters)
+        cores = CoreTable(inst, table, counters)
         overlap = build_overlap_table(inst, table)
         lengths = [len(s) for s in inst.strings]
         for l, m, r in itertools.permutations(range(inst.n), 3):
-            core = cores.triple[l, m, r].length
+            core = cores[l, m, r].length
             floor = cores.triple_floor(lengths, overlap[l][r], l, m, r)
             assert floor <= core, (inst.strings, inst.k, l, m, r, floor, core)
-            left, right = cores.pair_left[l, m].length, cores.pair_right[m, r].length
+            left, right = cores[l, m, -1].length, cores[-1, m, r].length
             checked += 1
             tight += floor == core
             raised += floor > max(left, right, lengths[l] + lengths[r] - overlap[l][r])
-        assert cores.triple == build_triple_cores(inst, table, all_at_once), inst.strings
-        build_pair_cores(inst, table, all_at_once)
+        whole = build_triple_cores(inst, table, all_at_once)
+        whole.update(build_pair_cores(inst, table, all_at_once))
+        assert cores == whole, inst.strings
         assert counters.core_scan == all_at_once.core_scan, inst.strings
     print(f"triple floor: {checked} cores, exact on {tight}, raised by the last term on {raised}")
     assert tight * 4 >= checked and raised * 20 >= checked, (checked, tight, raised)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [equal_length_instance(7300 + i) for i in range(3)]
+    + [binary_mixed_instance(7400 + i) for i in range(3)]
+    + [long_middle_instance(7500), tables_instance(7600)],
+)
+def test_core_table_builds_one_group_per_first_lookup(inst):
+    # the first key with an absent anchor builds exactly the 2n(n-1) pair
+    # cores and the triple floor builds no triple core; each (m, r) pair's
+    # first two-anchor key adds exactly its n - 2 cores; every entry, and
+    # core_scan, is the all-at-once build's
+    n = inst.n
+    table = build_mismatch_table(inst)
+    counters, all_at_once = Counters(), Counters()
+    cores = CoreTable(inst, table, counters)
+    pairs = build_pair_cores(inst, table, all_at_once)
+    assert len(cores) == counters.core_scan == 0
+    cores[-1, 0, 1]
+    assert len(cores) == 2 * n * (n - 1)
+    assert cores == pairs and counters.core_scan == all_at_once.core_scan
+    lengths = [len(s) for s in inst.strings]
+    cores.triple_floor(lengths, build_overlap_table(inst, table)[1][2], 1, 0, 2)
+    cores[0, 1, -1], cores[-1, 2, 0]
+    assert len(cores) == 2 * n * (n - 1) and counters.core_scan == all_at_once.core_scan
+    triples = build_triple_cores(inst, table, all_at_once)
+    for built, (m, r) in enumerate(itertools.permutations(range(n), 2), 1):
+        before = set(cores)
+        cores[next(l for l in range(n) if l != m and l != r), m, r]
+        assert set(cores) - before == {(l, m, r) for l in range(n) if l != m and l != r}, (m, r)
+        assert len(cores) == 2 * n * (n - 1) + built * (n - 2)
+    assert cores == {**pairs, **triples}
+    assert counters.core_scan == all_at_once.core_scan
+    # a key no builder makes is a KeyError, not a lookup that calls itself
+    for key in ((-1, 0, -1), (0, 0, 1), (1, 0, 1)):
+        with pytest.raises(KeyError):
+            cores[key]

@@ -8,8 +8,8 @@ from superstring import make_instance, build_mismatch_table
 from conftest import naive_mismatch_positions, random_valid_instance
 
 
-def table_for(strings):
-    return build_mismatch_table(make_instance(strings, 0))
+def table_for(strings, k=0):
+    return build_mismatch_table(make_instance(strings, k))
 
 
 def assert_counts_match_naive_scan(strings, table):
@@ -54,14 +54,15 @@ def test_matches_naive_scan_everywhere(strings):
 
 
 def assert_budget_lists_match_counts(strings, table, top):
-    """shifts_within(i, j, top) against a direct scan of counts(i, j): one
-    ascending list per budget 0..top, and a KeyError for any other budget."""
+    """shifts_within(i, j) of a table built at budget top against a direct
+    scan of counts(i, j): one ascending list per budget 0..top, and a
+    KeyError for any other budget."""
     for i in range(len(strings)):
         for j in range(len(strings)):
             if i == j:
                 continue
             counts = table.counts(i, j)
-            lists = table.shifts_within(i, j, top)
+            lists = table.shifts_within(i, j)
             # the smaller budgets first: each is filtered from the top budget's list
             for budget in range(top + 1):
                 assert lists[budget] == tuple(shift for shift, count in enumerate(counts) if count <= budget)
@@ -72,18 +73,25 @@ def assert_budget_lists_match_counts(strings, table, top):
 
 @given(STRING_SETS, st.integers(min_value=0, max_value=6))
 def test_budget_lists_match_counts(strings, top):
-    assert_budget_lists_match_counts(strings, table_for(strings), top)
+    assert_budget_lists_match_counts(strings, table_for(strings, top), top)
 
 
 def test_budget_lists_are_kept_per_top_budget():
-    # each top budget has its own lists, and a second request returns the same object
-    table = table_for(["abca", "cab"])
-    assert table.shifts_within(0, 1, 1) is table.shifts_within(0, 1, 1)
-    wide, narrow = table.shifts_within(0, 1, 3), table.shifts_within(0, 1, 1)
+    # a table's lists are those of its instance's budget, the top one, and a
+    # second request returns the same object, as it does for the counts by
+    # start; a smaller budget's list filters the top list
+    strings = ["abca", "cab"]
+    wide_table, narrow_table = table_for(strings, 3), table_for(strings, 1)
+    assert narrow_table.shifts_within(0, 1) is narrow_table.shifts_within(0, 1)
+    assert narrow_table.starts(0, 1) is narrow_table.starts(0, 1)
+    wide, narrow = wide_table.shifts_within(0, 1), narrow_table.shifts_within(0, 1)
     assert wide[3] == (0, 1, 2, 3, 4, 5, 6)
     assert wide[1] == narrow[1] == (0, 1, 4, 5, 6)
     with pytest.raises(KeyError):
         narrow[3]
+    # the first start of "cab" on "abca" within each table's budget: starts
+    # 0 and 1 have three mismatches each, start 2 none
+    assert (wide_table.starts(0, 1)[1], narrow_table.starts(0, 1)[1]) == (0, 2)
 
 
 @given(STRING_SETS)
@@ -124,7 +132,7 @@ def test_counts_around_the_8_bit_boundary(lengths):
         # more positions agree (0, 1) and disagree (0, 2) at one shift than 8 bits hold
         assert sum(map(eq, strings[0], strings[1])) > 255
         assert sum(map(ne, strings[0], strings[2])) > 255
-    table = table_for(strings)
+    table = table_for(strings, 4)
     assert_counts_match_naive_scan(strings, table)
     assert_budget_lists_match_counts(strings, table, 4)
 
@@ -132,7 +140,7 @@ def test_counts_around_the_8_bit_boundary(lengths):
 @pytest.mark.parametrize("lengths", [(1, 300), (2, 256), (3, 700), (5, 64), (40, 1000)])
 def test_counts_for_a_much_shorter_string(lengths):
     strings = [nearly_uniform(length, 10 + seed, "aΩ") for seed, length in enumerate(lengths)]
-    table = table_for(strings)
+    table = table_for(strings, 4)
     assert_counts_match_naive_scan(strings, table)
     assert_budget_lists_match_counts(strings, table, 4)
 
@@ -142,7 +150,7 @@ def test_counts_with_32_bit_fields():
     # the full check would take minutes, so a few shifts are compared
     base = nearly_uniform(65540, 20)
     slider = "a" * 65536
-    table = table_for([base, slider])
+    table = table_for([base, slider], 3)
     forward, backward = table.counts(0, 1), table.counts(1, 0)
     assert len(forward) == len(backward) == len(base) + len(slider)
     last = len(base) + len(slider) - 1

@@ -339,12 +339,11 @@ def test_glue_and_window_never_shrink_as_sets_grow():
     def longer_or_equal(grown, base):
         return grown is None or (base is not None and grown[0] >= base[0])
 
-    def core_length(cores, m, l, r):
-        if l >= 0 and r >= 0:
-            return cores.triple[l, m, r].length
-        if l >= 0:
-            return cores.pair_left[l, m].length
-        return cores.pair_right[m, r].length if r >= 0 else None
+    def first_window(placer, l, r, interior, cutoff):
+        # the composition asks only about sets that fit under the bare cover
+        if not placer.holds(placer.bare, interior):
+            return None
+        return placer.first_window(l, r, interior, cutoff)
 
     rng = random.Random(20261020)
     glue_pairs = window_pairs = row_pairs = searches = bare_fits = 0
@@ -383,16 +382,16 @@ def test_glue_and_window_never_shrink_as_sets_grow():
             for l, r in anchor_pairs:
                 if m in (l, r):
                     continue
-                shortest = core_length(tables.cores, m, l, r) or lengths[m]
+                shortest = tables.cores[l, m, r].length if l >= 0 or r >= 0 else lengths[m]
                 inner = fits & ~(_bit(l) | _bit(r))
                 for interior in _submasks(inner):
                     if not interior:
                         continue
-                    base = placer.first_window(l, r, interior, cutoff)
+                    base = first_window(placer, l, r, interior, cutoff)
                     assert base is None or base[0] >= shortest, (inst.strings, m, l, r, interior)
                     for e in range(n):
                         if (inner & ~interior) >> e & 1:
-                            grown = placer.first_window(l, r, interior | 1 << e, cutoff)
+                            grown = first_window(placer, l, r, interior | 1 << e, cutoff)
                             assert longer_or_equal(grown, base), (inst.strings, m, l, r, interior, e)
                             window_pairs += 1
                 # the bare cover turns most sets away before any window is
