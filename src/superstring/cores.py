@@ -13,29 +13,30 @@ disagrees with an anchor; positions covered by neither anchor are free.  The
 builders split the window lengths into two regimes:
 
   * Overlapping anchors (length < |l|+|r|), only at lengths whose overlay is
-    clean (`MismatchTable.clean_lengths`).  l and r then spell every window
+    clean (`table.clean_lengths[l, r]`).  l and r then spell every window
     position, so a cell's cost is the Hamming distance between m and that
     window (`overlaid_window`) at its start, one C-level pass over the
     characters.  Every character of either anchor is a window character,
     so that cost is at least m's count against each anchor alone.  Cells
-    where the count against l (by start, from `MismatchTable.starts`) or
-    against r (by shift, from `MismatchTable.counts`) already exceeds k are
+    where the count against l (by start, from `table.starts[l, m]`) or
+    against r (by shift, from `table.counts[r, m]`) already exceeds k are
     passed over without counting.
   * Disjoint anchors (length >= |l|+|r|).  The two sides add up, so a cell's
     cost is m's count against l at its start plus its count against r at
-    its distance d from the window's end, read from `MismatchTable.starts`
-    and `MismatchTable.counts`.  `_first_fit` searches starts instead of
+    its distance d from the window's end, read from `table.starts[l, m]`
+    and `table.counts[r, m]`.  `_first_fit` searches starts instead of
     cells: for each start the least fitting d is one bisect in the sorted
     list of right-anchor shifts within the remaining budget.
-    `MismatchTable.shifts_within` maps each budget 0..k to that list, per
-    pair: the list for k is one scan of the pair's counts, and each smaller
-    budget's list, built on its first lookup, filters the list for k.  The
-    table keeps them, so the triple and pair builders share them.
+    `table.shifts_within[r, m]` maps each budget 0..k to that list: the
+    list for k is one scan of the pair's counts, and each smaller budget's
+    list, built on its first lookup, filters the list for k.  The table
+    keeps them, so the triple and pair builders share them.
 
 Both regimes begin at the first start whose count against l alone is
 within k: every earlier start is over budget before r is read.  The table
-finds that start once per (l, m) and keeps it with the per-start counts,
-for all n - 2 right anchors and for the core with l alone.
+holds that start for every (l, m), next to the per-start counts
+(`table.starts[l, m]`), for all n - 2 right anchors and for the core with
+l alone.
 
 A core is keyed (l, m, r) like the solver's shapes, -1 marking an absent
 anchor.  The *pair cores* (l, m, -1) and (-1, m, r) are the degenerate
@@ -95,7 +96,9 @@ class CoreTable(dict):
     A missing key with an absent anchor builds every one-anchor core
     (`build_pair_cores`); one with both anchors builds the cores of every l
     of its (m, r) pair (`build_triple_cores`).  Either adds its cells to the
-    counters given.
+    counters given.  A key no builder makes (no anchor, m equal to an
+    anchor, equal anchors, an index out of range) raises KeyError before
+    anything is built.
     """
 
     def __init__(self, instance: Instance, table: MismatchTable, counters: Counters | None = None):
@@ -104,6 +107,10 @@ class CoreTable(dict):
 
     def __missing__(self, key: tuple[int, int, int]) -> CorePlacement:
         l, m, r = key
+        n = self._build[0].n
+        # a key no builder makes is refused before anything is built
+        if l == r or m in (l, r) or not (0 <= m < n and -1 <= l < n and -1 <= r < n):
+            raise KeyError(key)
         # the builders are read by their module-level names, so a wrapper
         # bound to those names (the bench's tracer) sees every core built
         if l < 0 or r < 0:
@@ -111,7 +118,7 @@ class CoreTable(dict):
         else:
             built = build_triple_cores(*self._build, pairs=[(m, r)])
         self.update(built)
-        return built[key]  # a key no builder makes raises KeyError here
+        return built[key]
 
     def triple_floor(self, lengths: Sequence[int], overlap: int, l: int, m: int, r: int) -> int:
         """A lower bound on self[l, m, r].length from the one-anchor cores, which builds no triple core.
@@ -250,13 +257,13 @@ def _build_cores(
     work = 0
     for m, r, anchors in groups:
         len_m, len_r = lengths[m], lengths[r]
-        right, within = (table.counts(r, m), table.shifts_within(r, m)) if r >= 0 else ([], {})
+        right, within = (table.counts[r, m], table.shifts_within[r, m]) if r >= 0 else ([], {})
         for l in anchors:
             placement = None
-            left, first = table.starts(l, m) if l >= 0 else ([], 0)
+            left, first = table.starts[l, m] if l >= 0 else ([], 0)
             if l >= 0 and r >= 0:
                 # the window lengths below |l|+|r| whose anchor overlay is conflict-free
-                overlaid = table.clean_lengths(l, r)
+                overlaid = table.clean_lengths[l, r]
                 if overlaid and overlaid[-1] >= len_m:
                     placement, cells = _first_overlapping_fit(
                         strings[l], strings[m], strings[r], overlaid, left, right, first, k

@@ -22,14 +22,15 @@ the next or borrows from it; `str.translate` and `str.encode` pack them and
 shared letter and one for the overlap lengths.
 
 A zero count at some shift certifies that the overlay is clean at that
-alignment.  The table is the one owner of this convention: the merge-core
-builder, the absorbed-scan engine and the overlap table read clean
-alignments as window lengths from `clean_lengths`, and the merge cores read
-per-shift counts from `counts`, per-start counts from `starts`, and from
-`shifts_within` the shifts within each budget 0..k, built in one scan of
-the pair; k is the budget of the instance the table is built from.
-Mismatch positions are not kept: a solution's positions are read off its
-witness.
+alignment.  The table is the one owner of this convention.  It holds four
+views of every ordered pair, each a dict keyed (i, j) and filled before the
+table is returned: `counts`, the count at every shift; `starts`, the counts
+by start and the first start within k; `shifts_within`, the shifts within
+each budget 0..k; and `clean_lengths`, the alignments where the pair agrees,
+as window lengths, with k the budget of the instance the table is built
+from.  The merge-core builder reads all four, and the absorbed-scan engine
+and the overlap table read `clean_lengths`.  Mismatch positions are not
+kept: a solution's positions are read off its witness.
 """
 
 from __future__ import annotations
@@ -76,71 +77,45 @@ class ShiftsWithin(dict):
 
 
 class MismatchTable:
-    """Immutable mismatch counts for every ordered string pair and shift.
+    """Mismatch counts of every ordered pair of distinct strings, and three views of them.
 
-    The per-budget views (`starts`, `shifts_within`) read the budget k of
-    the instance the table was built from.
+    The counts and each view are a dict keyed by ordered pair (i, j),
+    complete once the table is built; callers must not change them or what
+    they hold:
+
+      * ``counts[i, j]``: mismatches at every shift of base i, slider j;
+      * ``starts[i, j]``: the counts of j starting at each position s of i,
+        for s in [0, |i|], at shift s + |j| - 1, and the first start within
+        k.  The last entry leaves no overlap and is 0, so a start within any
+        budget >= 0 exists;
+      * ``shifts_within[i, j]``: budget b in 0..k -> ascending shifts with at
+        most b mismatches (`ShiftsWithin`, which fills each budget's list on
+        its first lookup);
+      * ``clean_lengths[i, j]``: ascending window lengths in [max(|i|, |j|),
+        |i|+|j|) where i at the window's left edge and j at its right edge
+        agree, j's last character on position length - 1 of i, at shift
+        length - 1.
+
+    k is the budget of the instance the table is built from.
     """
 
     def __init__(self, instance: Instance, counts: dict[tuple[int, int], list[int]]):
-        self._lengths = tuple(map(len, instance.strings))
-        self._k = instance.k
-        self._counts = counts
-        self._within: dict[tuple[int, int], ShiftsWithin] = {}
-        self._starts: dict[tuple[int, int], tuple[list[int], int]] = {}
-        self._clean: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def counts(self, i: int, j: int) -> list[int]:
-        """Number of mismatches at every shift of base i, slider j.
-
-        The table's own list; callers must not change it.
-        """
-        return self._counts[i, j]
-
-    def shifts_within(self, i: int, j: int) -> ShiftsWithin:
-        """Budget b in 0..k -> ascending shifts of base i, slider j with at most b mismatches.
-
-        One scan of the pair's counts serves every budget (`ShiftsWithin`).
-        Built on first request and kept: the triple and pair builders read
-        the same pairs.
-        """
-        found = self._within.get((i, j))
-        if found is None:
-            found = self._within[i, j] = ShiftsWithin(self._counts[i, j], self._k)
-        return found
-
-    def starts(self, i: int, j: int) -> tuple[list[int], int]:
-        """Mismatches of j starting at each position of i, and the first start within k.
-
-        Entry s, for s in [0, |i|], counts j with its first character on
-        position s of i, at shift s + |j| - 1.  The last entry leaves no
-        overlap and is 0, so a start within any budget >= 0 exists.  Built
-        on first request and kept; callers must not change the list.
-        """
-        found = self._starts.get((i, j))
-        if found is None:
-            by_start = self._counts[i, j][self._lengths[j] - 1 :]
+        lengths = [len(s) for s in instance.strings]
+        k = instance.k
+        self.counts = counts
+        self.starts: dict[tuple[int, int], tuple[list[int], int]] = {}
+        self.shifts_within: dict[tuple[int, int], ShiftsWithin] = {}
+        self.clean_lengths: dict[tuple[int, int], tuple[int, ...]] = {}
+        for (i, j), row in counts.items():
+            by_start = row[lengths[j] - 1 :]
             first = 0
-            while by_start[first] > self._k:
+            while by_start[first] > k:
                 first += 1
-            found = self._starts[i, j] = (by_start, first)
-        return found
-
-    def clean_lengths(self, i: int, j: int) -> tuple[int, ...]:
-        """Ascending window lengths in [max(|i|, |j|), |i|+|j|) where i and j agree.
-
-        String i sits at the window's left edge and j at its right edge, so
-        the two overlap: j's last character is on position length - 1 of i, at
-        shift length - 1.  Built on first request and kept.
-        """
-        found = self._clean.get((i, j))
-        if found is None:
-            len_i, len_j = self._lengths[i], self._lengths[j]
-            counts = self._counts[i, j]
-            lengths = range(max(len_i, len_j), len_i + len_j)
-            found = tuple([length for length in lengths if counts[length - 1] == 0])
-            self._clean[i, j] = found
-        return found
+            self.starts[i, j] = (by_start, first)
+            self.shifts_within[i, j] = ShiftsWithin(row, k)
+            shortest = max(lengths[i], lengths[j])
+            clean = enumerate(row[shortest - 1 : lengths[i] + lengths[j] - 1], shortest)
+            self.clean_lengths[i, j] = tuple([length for length, count in clean if count == 0])
 
 
 def _letter_fields(string: str, encoding: str) -> tuple[dict[int, int], dict[int, int]]:

@@ -299,7 +299,7 @@ class _Placer:
         low = max(len_l, len_m, len_r)
         # below |l|+|r| the anchors overlap, and only the lengths where they
         # agree hold a window; with an anchor absent every length is at least |l|+|r|
-        clean = self.table.clean_lengths(l, r) if l >= 0 and r >= 0 else ()
+        clean = self.table.clean_lengths[l, r] if l >= 0 and r >= 0 else ()
         self.lengths = [length for length in clean if length >= low]
         self.lengths += range(max(low, len_l + len_r), len_l + len_m + len_r + 1)
         self.groups: list[list[tuple]] = []
@@ -531,9 +531,10 @@ def _candidates_for_m(instance, tables, m, best, counters):
     set takes the same test, which for it is the window test, since its
     window is the merge core.  With both anchors `shortest` starts as a
     lower bound on the core (``CoreTable.triple_floor``), and the core is
-    read, which builds the cores of its (m, r) if none is built yet, only
-    for the first set whose first glue bound plus that bound is below the
-    cutoff.  A set the bound turns away the core would have turned away too.
+    read only for a set whose first glue bound plus `shortest` is below the
+    cutoff; the first such read builds the cores of its (m, r) if none is
+    built yet, and replaces the bound.  A set the bound turns away the core
+    would have turned away too.
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -580,7 +581,6 @@ def _candidates_for_m(instance, tables, m, best, counters):
             if not interiors:
                 continue
         # with both anchors, a bound on the triple core until a set needs the core itself
-        built = not both
         if both:
             shortest = cores.triple_floor(lengths, overlaps[l][r], l, m, r)
         else:
@@ -592,8 +592,8 @@ def _candidates_for_m(instance, tables, m, best, counters):
                 # the split glue from below: the two chains of any split,
                 # joined at overlap(l, r), are one chain over outside | l | r
                 floor = row_min[outside | anchors] + overlaps[l][r] - lengths[l] - lengths[r]
-                if not built and floor + shortest < cutoff:
-                    shortest, built = cores[l, m, r].length, True
+                if floor + shortest < cutoff:
+                    shortest = cores[l, m, r].length
                 # the other bounds only matter for a shape the first one keeps
                 if floor + shortest < cutoff:
                     floor = _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor)

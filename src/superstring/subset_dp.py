@@ -4,7 +4,7 @@
 equals the length-t prefix of string v.  It is read from the mismatch table,
 not from the characters: w at a window's left edge and v at its right edge
 overlap by t in a window of |w|+|v|-t, so the largest t is |w|+|v| minus
-the shortest of ``MismatchTable.clean_lengths(w, v)``, and 0 when there is
+the shortest of ``MismatchTable.clean_lengths[w, v]``, and 0 when there is
 none.  Because no input may contain another, t is strictly below both
 lengths for w != v; the diagonal is set to the string's own length by
 convention and never read by the tables below.
@@ -105,7 +105,7 @@ def build_overlap_table(instance: Instance, mismatch: MismatchTable) -> list[lis
     # with no clean length the shortest window is the disjoint one, overlap 0
     return [
         [
-            len_w if w == v else len_w + len_v - (mismatch.clean_lengths(w, v) or (len_w + len_v,))[0]
+            len_w if w == v else len_w + len_v - (mismatch.clean_lengths[w, v] or (len_w + len_v,))[0]
             for v, len_v in enumerate(lengths)
         ]
         for w, len_w in enumerate(lengths)

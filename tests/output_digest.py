@@ -1,0 +1,85 @@
+"""Digest of the solver's outputs on a fixed instance set.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/output_digest.py
+
+It prints the number of instances solved and two sha256 digests.  Each
+instance is solved with reconstruction, and gives one line,
+``json.dumps([length, mistake_index, witness, offsets, mismatch_positions])``;
+the first digest is over those lines, each newline-terminated, and the
+second over the same lines with ``asdict(counters)`` appended to each list.
+A change that keeps answers, witnesses and counters leaves both unchanged.
+
+The set is drawn deterministically:
+
+  * bench pool indices: every 3rd of ``absorb`` and ``cli``, every 4th of
+    ``chains`` and every 8th of ``tables``, drawn by ``bench/families.py``;
+  * 400 ``generate_instance`` draws from ``random.Random(20261018)``: n in
+    2..8, lengths lo..hi within 1..14, alphabet 2..4, k 0..4 and a generator
+    seed below 10**9, in that order; a draw the generator cannot fill is
+    skipped.
+
+This file is not a test module, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+from superstring import InstanceError, cli, solve
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import families  # noqa: E402
+
+POOL_STEPS = {"absorb": 3, "cli": 3, "chains": 4, "tables": 8}
+DRAWS = 400
+DRAW_SEED = 20261018
+
+
+def instances():
+    for name, step in POOL_STEPS.items():
+        workload = families.WORKLOADS[name]
+        for index in range(0, workload.pool, step):
+            yield workload.draw(cli, index)
+    rng = random.Random(DRAW_SEED)
+    for _ in range(DRAWS):
+        n = rng.randint(2, 8)
+        lo = rng.randint(1, 14)
+        hi = rng.randint(lo, 14)
+        alphabet = rng.randint(2, 4)
+        k = rng.randint(0, 4)
+        seed = rng.randrange(10**9)
+        try:
+            yield cli.generate_instance(cli.GeneratorParams(n, lo, hi, alphabet), seed, k)
+        except InstanceError:
+            continue
+
+
+def main() -> None:
+    outputs, with_counters = hashlib.sha256(), hashlib.sha256()
+    count = 0
+    for instance in instances():
+        solution = solve(instance, reconstruct=True)
+        fields = [
+            solution.length,
+            solution.mistake_index,
+            solution.witness,
+            solution.offsets,
+            solution.mismatch_positions,
+        ]
+        outputs.update((json.dumps(fields) + "\n").encode())
+        with_counters.update((json.dumps(fields + [asdict(solution.counters)]) + "\n").encode())
+        count += 1
+    print(f"instances {count}")
+    print(f"outputs {outputs.hexdigest()}")
+    print(f"outputs+counters {with_counters.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

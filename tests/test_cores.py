@@ -75,20 +75,20 @@ def placement_mismatches(table, strings, l, m, r, length, start):
     end_m = start + len_m - 1
     case = classify_placement(len_l, len_m, len_r, length, start)
     if case == 1:
-        return table.counts(l, m)[end_m]
+        return table.counts[l, m][end_m]
     end_in_r = end_m - (length - len_r)
     if case == 2:
-        return table.counts(r, m)[end_in_r]
+        return table.counts[r, m][end_in_r]
     if case == 3:
         mistakes = 0
         if start < len_l:
-            mistakes += table.counts(l, m)[end_m]
+            mistakes += table.counts[l, m][end_m]
         if end_in_r >= 0:
-            mistakes += table.counts(r, m)[end_in_r]
+            mistakes += table.counts[r, m][end_in_r]
         return mistakes
     # case 4: mismatches inside the l/r overlap appear in both counts, so
     # drop the duplicates found on the r side
-    mistakes = table.counts(l, m)[end_m] + table.counts(r, m)[end_in_r]
+    mistakes = table.counts[l, m][end_m] + table.counts[r, m][end_in_r]
     overlap = len_l + len_r - length
     twice = naive_mismatch_positions(strings[r], strings[m], end_in_r)
     return mistakes - sum(x < overlap for x in twice)
@@ -135,20 +135,20 @@ def test_overlay_examples():
 
 
 @given(
-    st.text(alphabet="ab", min_size=1, max_size=5),
-    st.text(alphabet="ab", min_size=1, max_size=5),
+    st.lists(st.text(alphabet="ab", min_size=1, max_size=5), min_size=2, max_size=4),
+    st.integers(min_value=0, max_value=3),
 )
-def test_overlay_agrees_with_mismatch_lists(left, right):
+def test_overlay_agrees_with_mismatch_lists(strings, k):
     # the table's clean lengths and the direct scan are two readings of the
-    # same overlay; they must agree at every window length
-    inst = make_instance([left, right], 0)
-    table = build_mismatch_table(inst)
-    for length in range(max(len(left), len(right)), len(left) + len(right) + 1):
-        direct = overlay_is_clean(left, right, length)
-        if length >= len(left) + len(right):
-            assert direct
-        else:
-            assert direct == (length in table.clean_lengths(0, 1))
+    # same overlay; they must agree at every window length, in both
+    # directions of every pair, whatever the table's budget
+    table = build_mismatch_table(make_instance(strings, k))
+    for (i, left), (j, right) in itertools.permutations(enumerate(strings), 2):
+        lengths = range(max(len(left), len(right)), len(left) + len(right) + 1)
+        clean = [length for length in lengths if overlay_is_clean(left, right, length)]
+        # disjoint anchors are always clean; the table lists the shorter clean lengths
+        assert clean[-1] == len(left) + len(right)
+        assert table.clean_lengths[i, j] == tuple(clean[:-1])
 
 
 TRIPLES = st.lists(st.text(alphabet="ab", min_size=1, max_size=4), min_size=3, max_size=3)
@@ -379,7 +379,7 @@ def test_triple_floor_never_exceeds_the_core():
     "inst",
     [equal_length_instance(7300 + i) for i in range(3)]
     + [binary_mixed_instance(7400 + i) for i in range(3)]
-    + [long_middle_instance(7500), tables_instance(7600)],
+    + [long_middle_instance(7500), tables_instance(7600), make_instance(["abca", "cab", "bcc"], 2)],
 )
 def test_core_table_builds_one_group_per_first_lookup(inst):
     # the first key with an absent anchor builds exactly the 2n(n-1) pair
@@ -391,6 +391,12 @@ def test_core_table_builds_one_group_per_first_lookup(inst):
     counters, all_at_once = Counters(), Counters()
     cores = CoreTable(inst, table, counters)
     pairs = build_pair_cores(inst, table, all_at_once)
+    # a key no builder makes is a KeyError that builds nothing: no anchor,
+    # m equal to an anchor, equal anchors, an index out of range
+    invalid = [(-1, 0, -1), (0, 0, -1), (-1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 2)]
+    for key in invalid + [(n, 0, 1), (1, n, 0), (-1, -1, 0)]:
+        with pytest.raises(KeyError):
+            cores[key]
     assert len(cores) == counters.core_scan == 0
     cores[-1, 0, 1]
     assert len(cores) == 2 * n * (n - 1)
@@ -407,7 +413,3 @@ def test_core_table_builds_one_group_per_first_lookup(inst):
         assert len(cores) == 2 * n * (n - 1) + built * (n - 2)
     assert cores == {**pairs, **triples}
     assert counters.core_scan == all_at_once.core_scan
-    # a key no builder makes is a KeyError, not a lookup that calls itself
-    for key in ((-1, 0, -1), (0, 0, 1), (1, 0, 1)):
-        with pytest.raises(KeyError):
-            cores[key]

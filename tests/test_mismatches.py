@@ -1,3 +1,4 @@
+import itertools
 import random
 from operator import eq, ne
 
@@ -13,13 +14,13 @@ def table_for(strings, k=0):
 
 
 def assert_counts_match_naive_scan(strings, table):
-    """counts(i, j) against a direct scan: one entry per shift of the domain
+    """counts[i, j] against a direct scan: one entry per shift of the domain
     [0, |i|+|j|-1], each the number of positions where the pair disagrees."""
     for i, base in enumerate(strings):
         for j, slider in enumerate(strings):
             if i == j:
                 continue
-            counts = table.counts(i, j)
+            counts = table.counts[i, j]
             assert len(counts) == len(base) + len(slider)
             for shift, count in enumerate(counts):
                 assert count == len(naive_mismatch_positions(base, slider, shift))
@@ -28,17 +29,17 @@ def assert_counts_match_naive_scan(strings, table):
 def test_identical_fully_aligned():
     # equal strings are not a valid instance, but the table itself is defined
     table = table_for(["ab", "ab"])
-    assert table.counts(0, 1)[1] == 0
+    assert table.counts[0, 1][1] == 0
 
 
 def test_reversed_pair_full_overlay():
     table = table_for(["ab", "ba"])
-    assert table.counts(0, 1)[1] == 2
+    assert table.counts[0, 1][1] == 2
 
 
 def test_slider_past_base_is_empty():
     table = table_for(["abc", "xy"])
-    assert table.counts(0, 1)[4] == 0
+    assert table.counts[0, 1][4] == 0
 
 
 # letters past latin-1 (two bytes in UTF-16, four with the emoji) as well as
@@ -54,15 +55,15 @@ def test_matches_naive_scan_everywhere(strings):
 
 
 def assert_budget_lists_match_counts(strings, table, top):
-    """shifts_within(i, j) of a table built at budget top against a direct
-    scan of counts(i, j): one ascending list per budget 0..top, and a
+    """shifts_within[i, j] of a table built at budget top against a direct
+    scan of counts[i, j]: one ascending list per budget 0..top, and a
     KeyError for any other budget."""
     for i in range(len(strings)):
         for j in range(len(strings)):
             if i == j:
                 continue
-            counts = table.counts(i, j)
-            lists = table.shifts_within(i, j)
+            counts = table.counts[i, j]
+            lists = table.shifts_within[i, j]
             # the smaller budgets first: each is filtered from the top budget's list
             for budget in range(top + 1):
                 assert lists[budget] == tuple(shift for shift, count in enumerate(counts) if count <= budget)
@@ -71,27 +72,42 @@ def assert_budget_lists_match_counts(strings, table, top):
                     lists[budget]
 
 
+def assert_starts_match_naive_scan(strings, table, k):
+    """starts[i, j] against a direct scan: the mismatches of j starting at
+    each position s in [0, |i|] of i, and the first start within k."""
+    for (i, base), (j, slider) in itertools.permutations(enumerate(strings), 2):
+        by_start = [sum(map(ne, base[s:], slider)) for s in range(len(base) + 1)]
+        first = next(s for s, count in enumerate(by_start) if count <= k)
+        assert table.starts[i, j] == (by_start, first)
+
+
 @given(STRING_SETS, st.integers(min_value=0, max_value=6))
 def test_budget_lists_match_counts(strings, top):
-    assert_budget_lists_match_counts(strings, table_for(strings, top), top)
+    table = table_for(strings, top)
+    # every view holds every ordered pair as soon as the table is built
+    pairs = set(itertools.permutations(range(len(strings)), 2))
+    for view in (table.counts, table.starts, table.shifts_within, table.clean_lengths):
+        assert set(view) == pairs
+    assert_budget_lists_match_counts(strings, table, top)
+    assert_starts_match_naive_scan(strings, table, top)
 
 
 def test_budget_lists_are_kept_per_top_budget():
-    # a table's lists are those of its instance's budget, the top one, and a
-    # second request returns the same object, as it does for the counts by
-    # start; a smaller budget's list filters the top list
+    # a table's lists are those of its instance's budget, the top one; no
+    # list is built before its first lookup, a smaller budget's list filters
+    # the top list, and a second lookup returns the same object
     strings = ["abca", "cab"]
     wide_table, narrow_table = table_for(strings, 3), table_for(strings, 1)
-    assert narrow_table.shifts_within(0, 1) is narrow_table.shifts_within(0, 1)
-    assert narrow_table.starts(0, 1) is narrow_table.starts(0, 1)
-    wide, narrow = wide_table.shifts_within(0, 1), narrow_table.shifts_within(0, 1)
+    wide, narrow = wide_table.shifts_within[0, 1], narrow_table.shifts_within[0, 1]
+    assert not wide and not narrow
+    assert wide[1] is wide[1]
     assert wide[3] == (0, 1, 2, 3, 4, 5, 6)
     assert wide[1] == narrow[1] == (0, 1, 4, 5, 6)
     with pytest.raises(KeyError):
         narrow[3]
     # the first start of "cab" on "abca" within each table's budget: starts
     # 0 and 1 have three mismatches each, start 2 none
-    assert (wide_table.starts(0, 1)[1], narrow_table.starts(0, 1)[1]) == (0, 2)
+    assert (wide_table.starts[0, 1][1], narrow_table.starts[0, 1][1]) == (0, 2)
 
 
 @given(STRING_SETS)
@@ -102,7 +118,7 @@ def test_symmetric_totals(strings):
         for j in range(len(strings)):
             if i == j:
                 continue
-            assert sum(table.counts(i, j)) == sum(table.counts(j, i))
+            assert sum(table.counts[i, j]) == sum(table.counts[j, i])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -151,7 +167,7 @@ def test_counts_with_32_bit_fields():
     base = nearly_uniform(65540, 20)
     slider = "a" * 65536
     table = table_for([base, slider], 3)
-    forward, backward = table.counts(0, 1), table.counts(1, 0)
+    forward, backward = table.counts[0, 1], table.counts[1, 0]
     assert len(forward) == len(backward) == len(base) + len(slider)
     last = len(base) + len(slider) - 1
     for shift in (0, 1, 2, 65534, 65535, 65536, 65539, 65540, 100000, last - 1, last):
