@@ -27,10 +27,22 @@ so every arrangement is an exact superstring, none shorter than the
 shortest chain over all strings (``row_min`` of the full mask), and on a
 tie the baseline, the least kind, wins.  No merge core is built there:
 the core table builds each on its first lookup, and nothing looks one up.
+
 The subset tables are built whole at every k, ``dp_left`` included, which
 only the composition reads: skipping it as well would leave a k = 0 solve
 at half the time of a k = 1 solve of the same size, and is left open
 (ROADMAP.md).
+
+The k = 0 argument skips a mistake string at every k.  Every string but the
+mistake string m occurs exactly, so the superstring of any candidate with
+mistake string m is an exact superstring of the others, none shorter than
+their shortest chain, ``row_min[full ^ (1 << m)]``.  A candidate replaces
+the incumbent iff its (length, kind) is smaller, and ``_EDGE_LEFT`` is the
+least kind composed, so when that chain is at least the cutoff
+``best[0] + (_EDGE_LEFT < best[1])`` no candidate of m can, and m is not
+composed.  Composing it would have returned the incumbent unchanged, and
+the incumbent only falls, so no later cutoff moves and the answer, its
+tie-breaks included, is the one composing every m gives.
 
 Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
 an absent anchor, searched by a single loop over interior sets: an anchored
@@ -648,10 +660,15 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
 
     tables = _solve_tables(instance, counters)
     counters.composition += n
-    best = (tables.subsets.row_min[(1 << n) - 1], _BASELINE, -1, -1, -1, -1, -1)
+    full = (1 << n) - 1
+    best = (tables.subsets.row_min[full], _BASELINE, -1, -1, -1, -1, -1)
     # at k = 0 no candidate beats the baseline (module docstring), so none is composed
     if instance.k > 0:
         for m in range(n):
+            # no candidate of m is shorter than the chain of the others
+            # (module docstring), so none could replace the incumbent
+            if tables.subsets.row_min[full ^ (1 << m)] >= best[0] + (_EDGE_LEFT < best[1]):
+                continue
             best = _candidates_for_m(instance, tables, m, best, counters)
 
     kind = best[1]
