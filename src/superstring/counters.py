@@ -51,8 +51,13 @@ class Counters:
         # per ordered pair of distinct members of each mask, read or skipped:
         # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).
         # composition counts the n baseline candidates plus one per anchored
-        # (kind, m, l, r) shape: n + 2n(n-1) + n(n-1)(n-2) = n^3 - n^2 + n
-        # for n >= 2; a single string returns before any work, all counts 0.
+        # (kind, l, r) shape of each mistake string composed: 2(n-1) +
+        # (n-1)(n-2) = n(n-1) per string, so n + c n(n-1) with c the
+        # mistake strings composed.  A mistake string whose chain of the
+        # other strings already reaches the incumbent's cutoff is skipped
+        # (solver module docstring), so c depends on the cutoffs; with every
+        # string composed the count is n^3 - n^2 + n, within the bound n^3,
+        # for n >= 2.  A single string returns before any work, all counts 0.
         # At k = 0 the baseline is the answer and no shape is composed:
         # composition is n, and core_scan, window_scan and glue_scan are 0
         # (nothing looks a merge core up, so none is built); both subset
@@ -72,7 +77,8 @@ class Counters:
         # the sweep would have, since it also asks about sets that every
         # shape's cutoff turns away.  Cutoffs come from one incumbent
         # carried through the mistake strings in index order, so the count
-        # depends on that order.
+        # depends on that order; a skipped mistake string lists no set and
+        # scans no window.
         # The search has no tight polynomial shape, so its bound is the
         # product of its loop ranges (anchor/interior-set choices, window
         # cells, placement tree) and is deliberately loose.  glue_scan

@@ -203,19 +203,88 @@ def test_length_invariant_under_mirroring():
         assert solve(mirrored).length == solve(inst).length
 
 
+def _invariance_instances():
+    """Instances at n >= 9: the probe family (lengths 4-10 over 4 letters)
+    at n = 9, 11 and 13, seeds 0-3, k = 1-3; every 3rd chains-pool draw (13
+    strings of length 5, k = 0-1); and absorb-shaped draws (one string of
+    12-16 and 8-9 of 3-5 over "abc", k = 1-4)."""
+    instances = [
+        generate_instance(GeneratorParams(n, 4, 10, 4), seed, k)
+        for n in (9, 11, 13)
+        for seed in range(4)
+        for k in (1, 2, 3)
+    ]
+    instances += [generate_instance(GeneratorParams(13, 5, 5, 4), index, index % 2) for index in range(0, 48, 3)]
+    rng = random.Random(20261028)
+    for draw in range(12):
+        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
+        while len(strings) < 9 + draw % 2:
+            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
+            if not any(candidate in s or s in candidate for s in strings):
+                strings.append(candidate)
+        instances.append(make_instance(strings, 1 + draw % 4))
+    return instances
+
+
+def test_length_invariant_at_nine_strings_and_more():
+    # three transforms keep the optimal length: permuting the input order
+    # (index-order tie-breaks, the incumbent carried across mistake strings
+    # and the mistake-string skip), reversing every string (the left/right
+    # pairs: one-anchor cores, dp_right and dp_left, the two edge kinds) and
+    # relabelling the alphabet (letter packing in the mismatch products and
+    # the placer's character codes)
+    rng = random.Random(20261029)
+    for inst in _invariance_instances():
+        expected = solve(inst).length
+        shuffled = list(inst.strings)
+        rng.shuffle(shuffled)
+        symbols = "".join(sorted(set("".join(inst.strings))))
+        relabel = str.maketrans(symbols, symbols[1:] + symbols[:1])
+        transforms = {
+            "order": shuffled,
+            "mirror": [s[::-1] for s in inst.strings],
+            "alphabet": [s.translate(relabel) for s in inst.strings],
+        }
+        for name, strings in transforms.items():
+            assert solve(make_instance(strings, inst.k)).length == expected, (name, inst.strings, inst.k)
+
+
+def _composed_by_solve(inst):
+    """solve's solution and its (m, incumbent passed, incumbent returned) per mistake string composed."""
+    calls = []
+    compose = solver_module._candidates_for_m
+
+    def recording(instance, tables, m, best, counters):
+        got = compose(instance, tables, m, best, counters)
+        calls.append((m, best, got))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "_candidates_for_m", recording)
+        solution = solve(inst)
+    return solution, calls
+
+
 def test_counters_follow_the_anchored_shapes_exactly():
     # equal lengths: nothing fits inside any m, so only the baseline and the
-    # anchored shapes run, one composition step each; an anchored triple
-    # tries all 2^(n-3) chain splits of the strings outside it only when its
-    # core beats the incumbent minus the triple's glue lower bound, and the
-    # bound rejects at least one of the n(n-1)(n-2) triples
+    # anchored shapes run, one composition step each: n baseline candidates
+    # plus n(n-1) anchored shapes per mistake string composed.  An anchored
+    # triple tries all 2^(n-3) chain splits of the strings outside it only
+    # when its core beats the incumbent minus the triple's glue lower bound,
+    # and the bound rejects at least one of the n(n-1)(n-2) triples
+    skipping = 0
     for n in range(3, 8):
         inst = generate_instance(GeneratorParams(n, 6, 6, 4), seed=n, k=2)
-        counters = solve(inst).counters
-        assert counters.composition == n**3 - n**2 + n
+        solution, calls = _composed_by_solve(inst)
+        counters = solution.counters
+        composed = len(calls)
+        assert counters.composition == n + composed * n * (n - 1)
         assert counters.glue_scan % 2 ** (n - 3) == 0
         assert counters.glue_scan < n * (n - 1) * (n - 2) * 2 ** (n - 3)
         assert counters.window_scan == 0
+        skipping += composed < n
+    # the mistake-string skip runs on some of these instances
+    assert skipping >= 1, skipping
 
 
 def test_pair_build_counts_every_slider_character_at_every_shift():
@@ -512,6 +581,55 @@ def test_carried_incumbent_equals_the_least_candidate_of_every_m():
         later_ties += carried[1] != 0 and carried[2] != first_at_length
     print(f"carried incumbent: {len(instances)} instances, {later_ties} later ties")
     assert len(instances) >= 100 and later_ties >= 5, (len(instances), later_ties)
+
+
+def _skip_instances(seed):
+    """Seeded draws at k = 1-4 of the absorb family (one string of 12-16 and
+    7 of 3-5 over "abc"), the probe family (lengths 4-10 over 4 letters,
+    n = 9-12) and the chains shape (13 strings of length 5 over 4 letters)."""
+    rng = random.Random(seed)
+    instances = []
+    for draw in range(24):
+        k = 1 + draw % 4
+        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
+        while len(strings) < 8:
+            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
+            if not any(candidate in s or s in candidate for s in strings):
+                strings.append(candidate)
+        instances.append(make_instance(strings, k))
+        probe = GeneratorParams(9 + draw % 4, 4, 10, 4)
+        instances.append(generate_instance(probe, rng.randrange(10**9), k))
+        if draw % 3 == 0:
+            chains = GeneratorParams(13, 5, 5, 4)
+            instances.append(generate_instance(chains, rng.randrange(10**9), k))
+    return instances
+
+
+def test_skipped_mistake_strings_would_return_the_incumbent():
+    # solve skips m when the chain of the other strings reaches the cutoff;
+    # composing a skipped m from the incumbent solve carried to it must give
+    # that incumbent back, and the final tuple must be the one from
+    # composing every m
+    skipped = composed = 0
+    for inst in _skip_instances(20261027):
+        tables = _solve_tables(inst, Counters())
+        baseline = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+        solution, calls = _composed_by_solve(inst)
+        steps = {m: (before, after) for m, before, after in calls}
+        best = every = baseline
+        for m in range(inst.n):
+            if m in steps:
+                assert steps[m][0] == best, (inst.strings, inst.k, m)
+                best = steps[m][1]
+            else:
+                assert _candidates_for_m(inst, tables, m, best, Counters()) == best, (inst.strings, inst.k, m)
+            every = _candidates_for_m(inst, tables, m, every, Counters())
+        assert best == every, (inst.strings, inst.k)
+        assert solution.length == best[0]
+        composed += len(calls)
+        skipped += inst.n - len(calls)
+    print(f"mistake-string skip: {skipped} skipped, {composed} composed")
+    assert skipped >= 100 and composed >= 50, (skipped, composed)
 
 
 def _sweep_instances(seed):
