@@ -27,7 +27,6 @@ so every arrangement is an exact superstring, none shorter than the
 shortest chain over all strings (``row_min`` of the full mask), and on a
 tie the baseline, the least kind, wins.  No merge core is built there:
 the core table builds each on its first lookup, and nothing looks one up.
-
 The subset tables are built whole at every k, ``dp_left`` included, which
 only the composition reads: skipping it as well would leave a k = 0 solve
 at half the time of a k = 1 solve of the same size, and is left open

@@ -203,6 +203,17 @@ def test_length_invariant_under_mirroring():
         assert solve(mirrored).length == solve(inst).length
 
 
+def _absorb_shaped(rng, n):
+    """n strings over "abc": one of length 12-16, then distinct ones of
+    3-5 that neither contain nor lie in another, so they fit inside it."""
+    strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
+    while len(strings) < n:
+        candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
+        if not any(candidate in s or s in candidate for s in strings):
+            strings.append(candidate)
+    return strings
+
+
 def _invariance_instances():
     """Instances at n >= 9: the probe family (lengths 4-10 over 4 letters)
     at n = 9, 11 and 13, seeds 0-3, k = 1-3; every 3rd chains-pool draw (13
@@ -217,12 +228,7 @@ def _invariance_instances():
     instances += [generate_instance(GeneratorParams(13, 5, 5, 4), index, index % 2) for index in range(0, 48, 3)]
     rng = random.Random(20261028)
     for draw in range(12):
-        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
-        while len(strings) < 9 + draw % 2:
-            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
-            if not any(candidate in s or s in candidate for s in strings):
-                strings.append(candidate)
-        instances.append(make_instance(strings, 1 + draw % 4))
+        instances.append(make_instance(_absorb_shaped(rng, 9 + draw % 2), 1 + draw % 4))
     return instances
 
 
@@ -511,12 +517,7 @@ def _zero_budget_instances(seed):
     chains = [GeneratorParams(9 + draw % 5, 5, 5, 4) for draw in range(5)]
     instances = [generate_instance(params, rng.randrange(10**9), 0) for params in chains]
     for _ in range(12):
-        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
-        while len(strings) < 8:
-            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
-            if not any(candidate in s or s in candidate for s in strings):
-                strings.append(candidate)
-        instances.append(make_instance(strings, 0))
+        instances.append(make_instance(_absorb_shaped(rng, 8), 0))
     instances += [generate_instance(GeneratorParams(7, 40, 40, 4), rng.randrange(10**9), 0) for _ in range(2)]
     return instances
 
@@ -591,12 +592,7 @@ def _skip_instances(seed):
     instances = []
     for draw in range(24):
         k = 1 + draw % 4
-        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
-        while len(strings) < 8:
-            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
-            if not any(candidate in s or s in candidate for s in strings):
-                strings.append(candidate)
-        instances.append(make_instance(strings, k))
+        instances.append(make_instance(_absorb_shaped(rng, 8), k))
         probe = GeneratorParams(9 + draw % 4, 4, 10, 4)
         instances.append(generate_instance(probe, rng.randrange(10**9), k))
         if draw % 3 == 0:
@@ -647,12 +643,7 @@ def _sweep_instances(seed):
         if draw % 2:
             instances.append(generate_instance(GeneratorParams(n, 4, 10, 4), rng.randrange(10**9), k))
             continue
-        strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
-        while len(strings) < n:
-            candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
-            if not any(candidate in s or s in candidate for s in strings):
-                strings.append(candidate)
-        instances.append(make_instance(strings, k))
+        instances.append(make_instance(_absorb_shaped(rng, n), k))
     return instances
 
 
