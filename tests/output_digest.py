@@ -13,8 +13,11 @@ A change that keeps answers, witnesses and counters leaves both unchanged.
 
 The set is drawn deterministically:
 
-  * bench pool indices: every 3rd of ``absorb`` and ``cli``, every 4th of
-    ``chains`` and every 8th of ``tables``, drawn by ``bench/families.py``;
+  * bench pool indices: every 3rd of ``absorb``, ``cli`` and ``chains`` and
+    every 8th of ``tables``, drawn by ``bench/families.py``.  A ``chains``
+    draw's k is its index mod 2, so every 3rd index gives both budgets: half
+    of those rows are k = 1 and reach the composition, which a k = 0 solve
+    never does;
   * 400 ``generate_instance`` draws from ``random.Random(20261018)``: n in
     2..8, lengths lo..hi within 1..14, alphabet 2..4, k 0..4 and a generator
     seed below 10**9, in that order; a draw the generator cannot fill is
@@ -37,7 +40,7 @@ from superstring import InstanceError, cli, solve
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import families  # noqa: E402
 
-POOL_STEPS = {"absorb": 3, "cli": 3, "chains": 4, "tables": 8}
+POOL_STEPS = {"absorb": 3, "cli": 3, "chains": 3, "tables": 8}
 DRAWS = 400
 DRAW_SEED = 20261018
 
