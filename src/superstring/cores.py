@@ -52,9 +52,11 @@ cells such a scan visits up to and including the winner, summed from the
 winner's position, for every core built; the builders themselves look at
 far fewer.
 
-`CoreTable` builds every core on its first lookup: any key with an absent
-anchor builds all the pair cores, and any (l, m, r) with both builds every
-l of its (m, r) pair.  The composition reads a triple core only for a shape
+`CoreTable` builds each core on its first lookup, one group at a time: a
+key with an absent anchor builds the 2(n-1) pair cores of its m, and one
+with both anchors the n - 2 cores of its (m, r), every l.  The solver looks
+cores up only for a mistake string it composes, so one it skips gets none
+built.  The composition reads a triple core only for a shape
 that a cheap lower bound on it cannot turn away (`CoreTable.triple_floor`),
 so most are never built where the glue decides.  The bound is the largest
 of these, each core standing for its length:
@@ -93,15 +95,15 @@ class CorePlacement(NamedTuple):
 class CoreTable(dict):
     """(l, m, r) -> merge core, -1 marking an absent anchor, built on first lookup.
 
-    A missing key with an absent anchor builds every one-anchor core
-    (`build_pair_cores`); one with both anchors builds the cores of every l
-    of its (m, r) pair (`build_triple_cores`).  Either adds its cells to the
-    counters given.  A key no builder makes (no anchor, m equal to an
+    A missing key with an absent anchor builds the 2(n-1) one-anchor cores
+    of its m (`build_pair_cores`); one with both anchors builds the n - 2
+    cores of its (m, r), every l (`build_triple_cores`).  Either adds its
+    cells to `counters`.  A key no builder makes (no anchor, m equal to an
     anchor, equal anchors, an index out of range) raises KeyError before
     anything is built.
     """
 
-    def __init__(self, instance: Instance, table: MismatchTable, counters: Counters | None = None):
+    def __init__(self, instance: Instance, table: MismatchTable, counters: Counters):
         super().__init__()
         self._build = (instance, table, counters)
 
@@ -114,9 +116,9 @@ class CoreTable(dict):
         # the builders are read by their module-level names, so a wrapper
         # bound to those names (the bench's tracer) sees every core built
         if l < 0 or r < 0:
-            built = build_pair_cores(*self._build)
+            built = build_pair_cores(*self._build, m)
         else:
-            built = build_triple_cores(*self._build, pairs=[(m, r)])
+            built = build_triple_cores(*self._build, m, r)
         self.update(built)
         return built[key]
 
@@ -241,7 +243,7 @@ def _build_cores(
     instance: Instance,
     table: MismatchTable,
     groups: Iterable[tuple[int, int, list[int]]],
-    counters: Counters | None,
+    counters: Counters,
 ) -> dict[tuple[int, int, int], CorePlacement]:
     """The core of (l, m, r) for every l listed with each (m, r), -1 marking an absent anchor.
 
@@ -273,40 +275,31 @@ def _build_cores(
                 placement, cells = _first_fit(left, first, right, within, len_m, lengths[l] + len_r, k)
                 work += cells
             result[l, m, r] = placement
-    if counters is not None:
-        counters.core_scan += work
+    counters.core_scan += work
     return result
 
 
 def build_triple_cores(
-    instance: Instance,
-    table: MismatchTable,
-    counters: Counters | None = None,
-    pairs: Iterable[tuple[int, int]] | None = None,
+    instance: Instance, table: MismatchTable, counters: Counters, m: int, r: int
 ) -> dict[tuple[int, int, int], CorePlacement]:
-    """Minimal core window for every ordered distinct triple (l, m, r).
+    """Minimal core window (l, m, r) for every l other than m and r.
 
-    With `pairs`, only the triples whose (m, r) is listed, every l of each.
     Always succeeds: the window that concatenates l, m, r disjointly is
     feasible with zero mismatches, so every entry is finite.
     """
-    n = instance.n
-    if pairs is None:
-        pairs = [(m, r) for r in range(n) for m in range(n) if m != r]
-    groups = [(m, r, [l for l in range(n) if l != m and l != r]) for m, r in pairs]
-    return _build_cores(instance, table, groups, counters)
+    anchors = [l for l in range(instance.n) if l != m and l != r]
+    return _build_cores(instance, table, [(m, r, anchors)], counters)
 
 
 def build_pair_cores(
-    instance: Instance, table: MismatchTable, counters: Counters | None = None
+    instance: Instance, table: MismatchTable, counters: Counters, m: int
 ) -> dict[tuple[int, int, int], CorePlacement]:
-    """Minimal one-anchor cores, keyed (l, m, -1) and (-1, m, r).
+    """Minimal one-anchor cores of m, keyed (l, m, -1) and (-1, m, r).
 
     (l, m, -1): l at the window's left edge, m anywhere inside, mismatches
     counted against l only.  (-1, m, r) is the mirror image with r at the
     right edge.
     """
-    n = instance.n
-    groups = [(m, -1, [l for l in range(n) if l != m]) for m in range(n)]
-    groups += [(m, r, [-1]) for m in range(n) for r in range(n) if r != m]
+    others = [e for e in range(instance.n) if e != m]
+    groups = [(m, -1, others)] + [(m, r, [-1]) for r in others]
     return _build_cores(instance, table, groups, counters)

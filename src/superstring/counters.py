@@ -42,11 +42,13 @@ class Counters:
         # core_scan counts, for every merge core built, the cells a scan in
         # ascending (length, start) order visits up to its winner.  Cores
         # are built on their first lookup, a group at a time: the first
-        # pair core read builds all 2n(n-1) of them, and every solve at
-        # k >= 1 reads one; the first triple core read of an (m, r) pair
-        # builds its n - 2, and the composition reads one only past a
-        # cutoff, so the count depends on the cutoffs.  At most n^3 cores
-        # of at most 3c lengths and 3c starts each.
+        # pair core read of a mistake string m builds its 2(n-1), and every
+        # m composed reads one; the first triple core read of an (m, r)
+        # pair builds its n - 2, and the composition reads one only past a
+        # cutoff.  A mistake string the skip passes over reads none, so
+        # which m and which (m, r) get cores, and the count, depend on the
+        # cutoffs.  At most n^3 cores of at most 3c lengths and 3c starts
+        # each.
         # dp_right and dp_left count the terms of the subset recurrence, one
         # per ordered pair of distinct members of each mask, read or skipped:
         # the sum of c(c-1) over masks of c members is exactly n(n-1)2^(n-2).

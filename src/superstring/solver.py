@@ -41,7 +41,8 @@ least kind composed, so when that chain is at least the cutoff
 ``best[0] + (_EDGE_LEFT < best[1])`` no candidate of m can, and m is not
 composed.  Composing it would have returned the incumbent unchanged, and
 the incumbent only falls, so no later cutoff moves and the answer, its
-tie-breaks included, is the one composing every m gives.
+tie-breaks included, is the one composing every m gives.  A skipped m looks
+no merge core up, so none of its cores is built.
 
 Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
 an absent anchor, searched by a single loop over interior sets: an anchored

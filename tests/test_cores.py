@@ -12,14 +12,30 @@ from superstring.cores import CoreTable, build_pair_cores, build_triple_cores, o
 from conftest import naive_mismatch_positions, random_valid_instance, window_min_length, window_placement
 
 
+def triple_cores(inst, table, counters):
+    """Every triple core of the instance, built one (m, r) group at a time."""
+    cores = {}
+    for m, r in itertools.permutations(range(inst.n), 2):
+        cores.update(build_triple_cores(inst, table, counters, m, r))
+    return cores
+
+
+def pair_cores(inst, table, counters):
+    """Every one-anchor core of the instance, built one m at a time."""
+    cores = {}
+    for m in range(inst.n):
+        cores.update(build_pair_cores(inst, table, counters, m))
+    return cores
+
+
 def triple_table(strings, k):
     inst = make_instance(strings, k)
-    return build_triple_cores(inst, build_mismatch_table(inst))
+    return triple_cores(inst, build_mismatch_table(inst), Counters())
 
 
 def pair_table(strings, k):
     inst = make_instance(strings, k)
-    return build_pair_cores(inst, build_mismatch_table(inst))
+    return pair_cores(inst, build_mismatch_table(inst), Counters())
 
 
 def overlay_is_clean(left: str, right: str, length: int) -> bool:
@@ -293,8 +309,8 @@ def test_core_placements_and_scan_match_cell_oracle(inst):
     strings, k = inst.strings, inst.k
     table = build_mismatch_table(inst)
     triple_counters, pair_counters = Counters(), Counters()
-    triple = build_triple_cores(inst, table, triple_counters) if inst.n >= 3 else {}
-    pairs = build_pair_cores(inst, table, pair_counters)
+    triple = triple_cores(inst, table, triple_counters)
+    pairs = pair_cores(inst, table, pair_counters)
 
     cells = 0
     for (l, m, r), placement in triple.items():
@@ -346,8 +362,8 @@ def test_triple_floor_never_exceeds_the_core():
     # lengths (m often fits inside an anchor), equal lengths and the
     # benchmark's tables shape, k 0-4.  The last term, (l, m, -1) +
     # (-1, m, r) - |m|, holds only when m fits inside neither anchor within
-    # budget.  The cores read on demand are the ones built all at once, with
-    # the same core_scan once every one has been read
+    # budget.  The cores read on demand are the ones built group by group,
+    # with the same core_scan once every one has been read
     mixed = dict(n_choices=(4, 5, 6), max_len=10, alphabets=(2, 3, 4), ks=range(5))
     instances = [random_valid_instance(6700 + i, **mixed) for i in range(120)]
     instances += [equal_length_instance(6900 + i, sizes=(4, 12), counts=(4, 6)) for i in range(40)]
@@ -355,7 +371,7 @@ def test_triple_floor_never_exceeds_the_core():
     checked = tight = raised = 0
     for inst in instances:
         table = build_mismatch_table(inst)
-        counters, all_at_once = Counters(), Counters()
+        counters, by_group = Counters(), Counters()
         cores = CoreTable(inst, table, counters)
         overlap = build_overlap_table(inst, table)
         lengths = [len(s) for s in inst.strings]
@@ -367,10 +383,10 @@ def test_triple_floor_never_exceeds_the_core():
             checked += 1
             tight += floor == core
             raised += floor > max(left, right, lengths[l] + lengths[r] - overlap[l][r])
-        whole = build_triple_cores(inst, table, all_at_once)
-        whole.update(build_pair_cores(inst, table, all_at_once))
+        whole = triple_cores(inst, table, by_group)
+        whole.update(pair_cores(inst, table, by_group))
         assert cores == whole, inst.strings
-        assert counters.core_scan == all_at_once.core_scan, inst.strings
+        assert counters.core_scan == by_group.core_scan, inst.strings
     print(f"triple floor: {checked} cores, exact on {tight}, raised by the last term on {raised}")
     assert tight * 4 >= checked and raised * 20 >= checked, (checked, tight, raised)
 
@@ -382,15 +398,14 @@ def test_triple_floor_never_exceeds_the_core():
     + [long_middle_instance(7500), tables_instance(7600), make_instance(["abca", "cab", "bcc"], 2)],
 )
 def test_core_table_builds_one_group_per_first_lookup(inst):
-    # the first key with an absent anchor builds exactly the 2n(n-1) pair
-    # cores and the triple floor builds no triple core; each (m, r) pair's
-    # first two-anchor key adds exactly its n - 2 cores; every entry, and
-    # core_scan, is the all-at-once build's
+    # each m's first key with an absent anchor adds exactly its 2(n-1)
+    # one-anchor cores, and the triple floor builds no triple core; each
+    # (m, r) pair's first two-anchor key adds exactly its n - 2 cores; every
+    # entry, and core_scan, is that of building the same groups directly
     n = inst.n
     table = build_mismatch_table(inst)
-    counters, all_at_once = Counters(), Counters()
+    counters, direct = Counters(), Counters()
     cores = CoreTable(inst, table, counters)
-    pairs = build_pair_cores(inst, table, all_at_once)
     # a key no builder makes is a KeyError that builds nothing: no anchor,
     # m equal to an anchor, equal anchors, an index out of range
     invalid = [(-1, 0, -1), (0, 0, -1), (-1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 2)]
@@ -398,18 +413,32 @@ def test_core_table_builds_one_group_per_first_lookup(inst):
         with pytest.raises(KeyError):
             cores[key]
     assert len(cores) == counters.core_scan == 0
-    cores[-1, 0, 1]
-    assert len(cores) == 2 * n * (n - 1)
-    assert cores == pairs and counters.core_scan == all_at_once.core_scan
     lengths = [len(s) for s in inst.strings]
-    cores.triple_floor(lengths, build_overlap_table(inst, table)[1][2], 1, 0, 2)
-    cores[0, 1, -1], cores[-1, 2, 0]
-    assert len(cores) == 2 * n * (n - 1) and counters.core_scan == all_at_once.core_scan
-    triples = build_triple_cores(inst, table, all_at_once)
+    overlap = build_overlap_table(inst, table)
+    pairs = {}
+    for m in range(n):
+        l, r = (m + 1) % n, (m + 2) % n
+        before = set(cores)
+        # either side's first key builds the group
+        cores[(l, m, -1) if m % 2 else (-1, m, r)]
+        group = build_pair_cores(inst, table, direct, m)
+        others = [e for e in range(n) if e != m]
+        assert set(group) == {(e, m, -1) for e in others} | {(-1, m, e) for e in others}, m
+        assert set(cores) - before == set(group), m
+        assert len(cores) == 2 * (n - 1) * (m + 1) and counters.core_scan == direct.core_scan
+        cores.triple_floor(lengths, overlap[l][r], l, m, r)
+        cores[l, m, -1], cores[-1, m, r]
+        assert len(cores) == 2 * (n - 1) * (m + 1) and counters.core_scan == direct.core_scan
+        pairs.update(group)
+    assert cores == pairs
+    triples = {}
     for built, (m, r) in enumerate(itertools.permutations(range(n), 2), 1):
         before = set(cores)
         cores[next(l for l in range(n) if l != m and l != r), m, r]
-        assert set(cores) - before == {(l, m, r) for l in range(n) if l != m and l != r}, (m, r)
+        group = build_triple_cores(inst, table, direct, m, r)
+        assert set(group) == {(l, m, r) for l in range(n) if l != m and l != r}, (m, r)
+        assert set(cores) - before == set(group), (m, r)
         assert len(cores) == 2 * n * (n - 1) + built * (n - 2)
+        assert counters.core_scan == direct.core_scan
+        triples.update(group)
     assert cores == {**pairs, **triples}
-    assert counters.core_scan == all_at_once.core_scan

@@ -17,6 +17,8 @@ from superstring.counters import Counters
 from superstring.oracle import OracleLimits
 from superstring import solver as solver_module
 from superstring.solver import (
+    _BASELINE,
+    _EDGE_LEFT,
     _TRIPLE,
     _Placer,
     _bit,
@@ -626,6 +628,40 @@ def test_skipped_mistake_strings_would_return_the_incumbent():
         skipped += inst.n - len(calls)
     print(f"mistake-string skip: {skipped} skipped, {composed} composed")
     assert skipped >= 100 and composed >= 50, (skipped, composed)
+
+
+def test_a_skipped_mistake_string_builds_no_merge_core():
+    # replays solve's loop over the mistake strings, skip included, on
+    # absorb-shaped draws: the core table ends up holding cores of composed
+    # mistake strings only, each with all 2(n-1) of its one-anchor cores,
+    # and the replay composes the m that solve composes, with solve's counters
+    rng = random.Random(20261030)
+    skipped = 0
+    for draw in range(24):
+        inst = make_instance(_absorb_shaped(rng, 8), 1 + draw % 4)
+        n, full = inst.n, (1 << inst.n) - 1
+        counters = Counters()
+        tables = _solve_tables(inst, counters)
+        counters.composition += n
+        best = (tables.subsets.row_min[full], _BASELINE, -1, -1, -1, -1, -1)
+        composed = []
+        for m in range(n):
+            if tables.subsets.row_min[full ^ (1 << m)] >= best[0] + (_EDGE_LEFT < best[1]):
+                continue
+            composed.append(m)
+            best = _candidates_for_m(inst, tables, m, best, counters)
+        assert {m for _, m, _ in tables.cores} == set(composed), (inst.strings, inst.k)
+        one_anchor = {key for key in tables.cores if -1 in key}
+        others = {m: [e for e in range(n) if e != m] for m in composed}
+        assert one_anchor == {
+            key for m in composed for e in others[m] for key in ((e, m, -1), (-1, m, e))
+        }, (inst.strings, inst.k)
+        solution, calls = _composed_by_solve(inst)
+        assert [m for m, _, _ in calls] == composed
+        assert (solution.length, solution.counters) == (best[0], counters), (inst.strings, inst.k)
+        skipped += n - len(composed)
+    print(f"skipped mistake strings: {skipped} of {24 * 8}, none with a merge core")
+    assert skipped >= 50, skipped
 
 
 def _sweep_instances(seed):
