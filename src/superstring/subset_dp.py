@@ -55,10 +55,12 @@ positive-overlap predecessor's column over the rest rows are read with
   minimum is at most row_min, a real chain.
 
 The result is written back with ``to_bytes``, and folded by the same minimum
-into a running per-row minimum of the columns j >= 4, which the row's own
-chunk finishes with its entries j < 4.  Every column j >= 4 of a row comes
-from a slice that starts at or below the row's chunk, so it is written
-before that chunk is filled.
+straight into ``row_min``, which starts at the sentinel (0 for the empty
+row): until a row's own chunk is filled, its entry is the running minimum
+of its columns j >= 4, and the chunk finishes it with its entries j < 4.
+Every column j >= 4 of a row comes from a slice that starts at or below the
+row's chunk, so it is written before that chunk is filled, and a slice reads
+only rows below its own, all finished.
 """
 
 from __future__ import annotations
@@ -113,15 +115,17 @@ def build_overlap_table(instance: Instance, mismatch: MismatchTable) -> list[lis
 
 
 def _row_minima(instance: Instance) -> array:
-    """2^n zeroed row minima in the narrowest typecode whose sentinel is above
-    every entry plus one more string."""
+    """2^n row minima in the narrowest typecode whose sentinel is above every
+    entry plus one more string, each the sentinel but the empty row's 0."""
     lengths = [len(s) for s in instance.strings]
     for code in "HIL":
         if sum(lengths) + max(lengths) < (1 << 8 * array(code).itemsize - 1) - 1:
             break
     else:
         code = "Q"
-    return array(code, [0]) * (1 << instance.n)
+    row_min = array(code, [(1 << 8 * array(code).itemsize - 1) - 1]) * (1 << instance.n)
+    row_min[0] = 0
+    return row_min
 
 
 def _chain_dp(
@@ -136,10 +140,11 @@ def _chain_dp(
     of row ``rest = mask - j`` and the predecessors of j with a positive
     overlap, whose sentinel entries outside rest never win; the others a
     slice at a time (the module docstring says why both are exact).
-    ``row_min`` has 2^n entries and receives each row's minimum as the row is
-    filled; its empty-mask entry stays 0, so a singleton gets |s_j|.  As the
-    minima are the same in both tables, dp_left may be filled against the
-    array dp_right filled, with `row_min_filled` set so that it is only read.
+    ``row_min`` has 2^n entries, the sentinel but the empty row's 0, and
+    receives each row's minimum as the row is filled; the empty row stays 0,
+    so a singleton gets |s_j|.  As the minima are the same in both tables,
+    dp_left may be filled against the array dp_right filled, with
+    `row_min_filled` set so that it is only read.
     Returns the table and the recurrence's term count, one per (mask, j, p
     in rest) whether read or skipped: the sum of c(c-1) over masks of c
     members, n(n-1)2^(n-2).
@@ -155,12 +160,9 @@ def _chain_dp(
     from_bytes = int.from_bytes
     code = row_min.typecode
     dp = [array(code, [never]) * (1 << n) for _ in range(n)]
-    part = array(code, [never]) * (1 << n)  # least entry j >= _ROW_BITS
-    part[0] = 0  # the empty row's minimum
     gains = [[(p, overlaps[p][j]) for p in range(n) if p != j and overlaps[p][j] > 0] for j in range(n)]
     bytes_of = [memoryview(column).cast("B") for column in dp]
     mins_bytes = memoryview(row_min).cast("B")
-    part_bytes = memoryview(part).cast("B")
     # column j -> 2^j fields of 1, and of the guard bit alone
     units = [(ones, ones << top) for ones in (from_bytes(array(code, [1]) * (1 << j), order) for j in range(n))]
 
@@ -174,7 +176,7 @@ def _chain_dp(
     for start in range(0, 1 << n, 1 << bits):
         for low, steps in enumerate(members):
             mask = start | low
-            row_best = part[mask]
+            row_best = row_min[mask]
             for bit, length, column, preds in steps:
                 rest = mask ^ bit
                 best = row_min[rest]
@@ -205,10 +207,10 @@ def _chain_dp(
         best += lengths[j] * ones
         bytes_of[j][mid:hi] = best.to_bytes(size, order)
         if not row_min_filled:
-            have = from_bytes(part_bytes[mid:hi], order)
+            have = from_bytes(mins_bytes[mid:hi], order)
             take = (((have | guard) - best) & guard) >> top
             have ^= (have ^ best) & take * field
-            part_bytes[mid:hi] = have.to_bytes(size, order)
+            mins_bytes[mid:hi] = have.to_bytes(size, order)
     return dp, n * (n - 1) * (1 << n) // 4
 
 
