@@ -9,7 +9,7 @@ the CLI whenever counters are requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -21,16 +21,6 @@ class Counters:
     composition: int = 0
     window_scan: int = 0
     glue_scan: int = 0
-
-    NAMES = (
-        "pair_build",
-        "core_scan",
-        "dp_right",
-        "dp_left",
-        "composition",
-        "window_scan",
-        "glue_scan",
-    )
 
     @staticmethod
     def bounds(n: int, c: int) -> dict[str, int]:
@@ -105,12 +95,12 @@ class Counters:
 
     def report(self, n: int, c: int) -> dict[str, dict[str, int]]:
         bounds = self.bounds(n, c)
-        return {name: {"count": getattr(self, name), "bound": bounds[name]} for name in self.NAMES}
+        return {name: {"count": count, "bound": bounds[name]} for name, count in asdict(self).items()}
 
     def violations(self, n: int, c: int) -> list[str]:
         bounds = self.bounds(n, c)
         return [
-            f"{name}: count {getattr(self, name)} exceeds bound {bounds[name]}"
-            for name in self.NAMES
-            if getattr(self, name) > bounds[name]
+            f"{name}: count {count} exceeds bound {bounds[name]}"
+            for name, count in asdict(self).items()
+            if count > bounds[name]
         ]

@@ -253,10 +253,12 @@ def test_bad_witness_from_the_solver_exit_code(monkeypatch, verify):
 
 def test_counter_bound_exit_code(monkeypatch):
     # real counts stay within their bounds, so an excess can only be simulated
+    from dataclasses import asdict
+
     from superstring import Counters
 
     monkeypatch.setattr(
-        Counters, "bounds", staticmethod(lambda n, c: dict.fromkeys(Counters.NAMES, -1))
+        Counters, "bounds", staticmethod(lambda n, c: dict.fromkeys(asdict(Counters()), -1))
     )
     config = RunConfig(k=2, strings=["ab", "cd"], json_output=True, counters=True)
     code, out, err = run_capture(config)
