@@ -258,6 +258,19 @@ def test_length_invariant_at_nine_strings_and_more():
             assert solve(make_instance(strings, inst.k)).length == expected, (name, inst.strings, inst.k)
 
 
+def test_budget_monotonicity_at_nine_strings_and_more():
+    # a larger budget only admits more arrangements, so the length never
+    # rises as k grows, and no superstring is shorter than the longest string
+    for inst in _invariance_instances()[::4]:
+        previous = None
+        for k in range(5):
+            length = solve(make_instance(inst.strings, k)).length
+            assert length >= inst.c, (inst.strings, k)
+            if previous is not None:
+                assert length <= previous, (inst.strings, k)
+            previous = length
+
+
 def _composed_by_solve(inst):
     """solve's solution and its (m, incumbent passed, incumbent returned) per mistake string composed."""
     calls = []
