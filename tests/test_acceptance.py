@@ -188,7 +188,7 @@ def test_criterion_7_counter_bounds():
     report(7, "counter-bounds", not over, f"grid 6x7, {len(over)} bound violations")
 
 
-def test_criterion_8_thread_determinism(random_suite):
+def test_criterion_8_determinism(random_suite):
     # the solver is serial, so determinism means repeated runs print the same bytes
     rows, _ = random_suite
     diverging = 0
