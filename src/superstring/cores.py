@@ -56,9 +56,9 @@ far fewer.
 key with an absent anchor builds the 2(n-1) pair cores of its m, and one
 with both anchors the n - 2 cores of its (m, r), every l.  The solver looks
 cores up only for a mistake string it composes, so one it skips gets none
-built.  The composition reads a triple core only for a shape
-that a cheap lower bound on it cannot turn away (`CoreTable.triple_floor`),
-so most are never built where the glue decides.  The bound is the largest
+built.  The composition reads a triple core only for a shape that a cheap
+lower bound on it cannot turn away (`CoreTable.triple_floor`), so most are
+never built where the glue decides.  The bound is the largest
 of these, each core standing for its length:
 
   * (l, m, -1) and (-1, m, r): a triple cell's count against either anchor

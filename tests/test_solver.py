@@ -666,10 +666,8 @@ def test_a_skipped_mistake_string_builds_no_merge_core():
             best = _candidates_for_m(inst, tables, m, best, counters)
         assert {m for _, m, _ in tables.cores} == set(composed), (inst.strings, inst.k)
         one_anchor = {key for key in tables.cores if -1 in key}
-        others = {m: [e for e in range(n) if e != m] for m in composed}
-        assert one_anchor == {
-            key for m in composed for e in others[m] for key in ((e, m, -1), (-1, m, e))
-        }, (inst.strings, inst.k)
+        expected = {key for m in composed for e in range(n) if e != m for key in ((e, m, -1), (-1, m, e))}
+        assert one_anchor == expected, (inst.strings, inst.k)
         solution, calls = _composed_by_solve(inst)
         assert [m for m, _, _ in calls] == composed
         assert (solution.length, solution.counters) == (best[0], counters), (inst.strings, inst.k)
