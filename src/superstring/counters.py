@@ -48,8 +48,9 @@ class Counters:
         # mistake strings composed.  A mistake string whose chain of the
         # other strings already reaches the incumbent's cutoff is skipped
         # (solver module docstring), so c depends on the cutoffs; with every
-        # string composed the count is n^3 - n^2 + n, within the bound n^3,
-        # for n >= 2.  A single string returns before any work, all counts 0.
+        # string composed the count is n^3 - n^2 + n, within the bound n^3.
+        # A single string has no pair, no other string and no shape: only
+        # its baseline candidate is counted, composition 1, every other 0.
         # At k = 0 the baseline is the answer and no shape is composed:
         # composition is n, and core_scan, window_scan and glue_scan are 0
         # (nothing looks a merge core up, so none is built); both subset

@@ -129,7 +129,7 @@ def _letter_fields(string: str, encoding: str) -> tuple[dict[int, int], dict[int
     return forward, backward
 
 
-def build_mismatch_table(instance: Instance, counters: Counters | None = None) -> MismatchTable:
+def build_mismatch_table(instance: Instance, counters: Counters) -> MismatchTable:
     """Count the mismatches of every ordered pair at every alignment.
 
     Each unordered pair is counted once: shift t of (i, j) is the alignment
@@ -137,34 +137,33 @@ def build_mismatch_table(instance: Instance, counters: Counters | None = None) -
     overlap.  `pair_build` is the size of the alignment grid the table
     covers, one slider character per shift of every ordered pair,
     overlapping or not: the sum over ordered pairs of
-    (|base|+|slider|)*|slider|.
+    (|base|+|slider|)*|slider|.  A single string has no pair, so its table
+    is empty and counts nothing.
     """
     strings = instance.strings
+    # no pair's shorter string is longer than the second longest; a single
+    # string makes no pair, and its own length picks the width
+    shorter = sorted(map(len, strings))[-2:][0]
+    size = next(size for size in _ENCODINGS if shorter < 1 << 8 * size)
+    typecode = next(code for code in "BHIL" if array(code).itemsize == size)
+    encoding = _ENCODINGS[size]
+    packed = [_letter_fields(string, encoding) for string in strings]
+    ones = [int.from_bytes(("\x01" * len(s)).encode(encoding), "little") for s in strings]
     counts: dict[tuple[int, int], list[int]] = {}
-    work = 0
-    if len(strings) >= 2:
-        shorter = sorted(map(len, strings))[-2]  # no pair's shorter string is longer
-        size = next(size for size in _ENCODINGS if shorter < 1 << 8 * size)
-        typecode = next(code for code in "BHIL" if array(code).itemsize == size)
-        encoding = _ENCODINGS[size]
-        packed = [_letter_fields(string, encoding) for string in strings]
-        ones = [int.from_bytes(("\x01" * len(s)).encode(encoding), "little") for s in strings]
-        for i, base in enumerate(strings):
-            forward = packed[i][0]
-            for j in range(i + 1, len(strings)):
-                backward = packed[j][1]
-                shared = forward.keys() & backward.keys()
-                agree = sum(map(mul, map(forward.__getitem__, shared), map(backward.__getitem__, shared)))
-                # field t of ones * ones is the overlap length at shift t, in [0,
-                # |i|+|j|-2]; it is never below field t of agree, so nothing borrows
-                disagree = ones[i] * ones[j] - agree
-                span = len(base) + len(strings[j])
-                fields = array(typecode, disagree.to_bytes((span - 1) * size, "little"))
-                if sys.byteorder == "big":
-                    fields.byteswap()
-                row = counts[i, j] = [*fields, 0]
-                counts[j, i] = row[-2::-1] + [0]
-                work += span ** 2
-    if counters is not None:
-        counters.pair_build += work
+    for i, base in enumerate(strings):
+        forward = packed[i][0]
+        for j in range(i + 1, len(strings)):
+            backward = packed[j][1]
+            shared = forward.keys() & backward.keys()
+            agree = sum(map(mul, map(forward.__getitem__, shared), map(backward.__getitem__, shared)))
+            # field t of ones * ones is the overlap length at shift t, in [0,
+            # |i|+|j|-2]; it is never below field t of agree, so nothing borrows
+            disagree = ones[i] * ones[j] - agree
+            span = len(base) + len(strings[j])
+            fields = array(typecode, disagree.to_bytes((span - 1) * size, "little"))
+            if sys.byteorder == "big":
+                fields.byteswap()
+            row = counts[i, j] = [*fields, 0]
+            counts[j, i] = row[-2::-1] + [0]
+            counters.pair_build += span ** 2
     return MismatchTable(instance, counts)

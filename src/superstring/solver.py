@@ -3,7 +3,8 @@
 The search space is organised around which string carries the mismatches,
 which exact strings flank it, and which exact strings vanish into its span:
 
-  (a) a single string is its own answer;
+  (a) no string carries a mismatch: the all-exact chain over every string,
+      which for a single string is the string itself;
   (b) the mistake string is the overall first or last string: one pair core
       plus one subset chain covering everything else;
   (c) the mistake string sits between two exact anchors l and r: the strings
@@ -647,17 +648,6 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
 
     counters = Counters()
     n = instance.n
-    if n == 1:
-        only = instance.strings[0]
-        return Solution(
-            length=len(only),
-            mistake_index=0,
-            witness=only if reconstruct else None,
-            offsets=[0] if reconstruct else None,
-            mismatch_positions=[] if reconstruct else None,
-            counters=counters,
-        )
-
     tables = _solve_tables(instance, counters)
     counters.composition += n
     full = (1 << n) - 1

@@ -133,7 +133,7 @@ def _chain_dp(
     overlaps: Sequence[Sequence[int]],
     row_min: array,
     row_min_filled: bool = False,
-) -> tuple[list[array], int]:
+) -> list[array]:
     """``dp[j][mask]``: min over p of ``dp[p][mask - j] + |s_j| - overlaps[p][j]``.
 
     Columns j < _ROW_BITS are filled entry by entry, each from the minimum
@@ -145,9 +145,6 @@ def _chain_dp(
     so a singleton gets |s_j|.  As the minima are the same in both tables,
     dp_left may be filled against the array dp_right filled, with
     `row_min_filled` set so that it is only read.
-    Returns the table and the recurrence's term count, one per (mask, j, p
-    in rest) whether read or skipped: the sum of c(c-1) over masks of c
-    members, n(n-1)2^(n-2).
     """
     n = instance.n
     lengths = [len(s) for s in instance.strings]
@@ -211,20 +208,22 @@ def _chain_dp(
             take = (((have | guard) - best) & guard) >> top
             have ^= (have ^ best) & take * field
             mins_bytes[mid:hi] = have.to_bytes(size, order)
-    return dp, n * (n - 1) * (1 << n) // 4
+    return dp
 
 
-def build_subset_table(
-    instance: Instance, overlap: Sequence[Sequence[int]], counters: Counters | None = None
-) -> SubsetTable:
+def build_subset_table(instance: Instance, overlap: Sequence[Sequence[int]], counters: Counters) -> SubsetTable:
     """Both tables, filled in turn against one shared array of row minima.
 
     ``dp_left`` is the ``dp_right`` recurrence on the transposed overlaps.
+    Each table adds the recurrence's term count to its counter, one per
+    (mask, j, p in rest) whether read or skipped: the sum of c(c-1) over
+    masks of c members, n(n-1)2^(n-2), which is 0 for a single string.
     """
     row_min = _row_minima(instance)
-    dp_right, right_work = _chain_dp(instance, overlap, row_min)
-    dp_left, left_work = _chain_dp(instance, list(zip(*overlap)), row_min, row_min_filled=True)
-    if counters is not None:
-        counters.dp_right += right_work
-        counters.dp_left += left_work
+    dp_right = _chain_dp(instance, overlap, row_min)
+    dp_left = _chain_dp(instance, list(zip(*overlap)), row_min, row_min_filled=True)
+    n = instance.n
+    terms = n * (n - 1) * (1 << n) // 4
+    counters.dp_right += terms
+    counters.dp_left += terms
     return SubsetTable(dp_right=dp_right, dp_left=dp_left, row_min=row_min)

@@ -156,7 +156,8 @@ def test_criterion_5_budget_monotonicity():
 
 
 def subset_table(inst):
-    return build_subset_table(inst, build_overlap_table(inst, build_mismatch_table(inst)))
+    overlap = build_overlap_table(inst, build_mismatch_table(inst, Counters()))
+    return build_subset_table(inst, overlap, Counters())
 
 
 def test_criterion_6_reversal_duality():

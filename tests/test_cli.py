@@ -167,11 +167,14 @@ def test_gen_run_byte_identical():
     assert len(outputs) == 1
 
 
-def test_counters_zero_for_singleton():
+def test_singleton_counters_follow_the_composition_formula():
+    # one string takes the general path: n + c n(n-1) = 1 composition, and
+    # no pair, subset-recurrence term, core, window or split is counted
     config = RunConfig(k=3, strings=["abc"], json_output=True, counters=True)
     code, out, _ = run_capture(config)
     assert code == 0
     counters = json.loads(out)["counters"]
+    assert counters.pop("composition") == {"count": 1, "bound": 1}
     assert all(cell["count"] == 0 for cell in counters.values())
 
 

@@ -30,12 +30,12 @@ def pair_cores(inst, table, counters):
 
 def triple_table(strings, k):
     inst = make_instance(strings, k)
-    return triple_cores(inst, build_mismatch_table(inst), Counters())
+    return triple_cores(inst, build_mismatch_table(inst, Counters()), Counters())
 
 
 def pair_table(strings, k):
     inst = make_instance(strings, k)
-    return pair_cores(inst, build_mismatch_table(inst), Counters())
+    return pair_cores(inst, build_mismatch_table(inst, Counters()), Counters())
 
 
 def overlay_is_clean(left: str, right: str, length: int) -> bool:
@@ -158,7 +158,7 @@ def test_overlay_agrees_with_mismatch_lists(strings, k):
     # the table's clean lengths and the direct scan are two readings of the
     # same overlay; they must agree at every window length, in both
     # directions of every pair, whatever the table's budget
-    table = build_mismatch_table(make_instance(strings, k))
+    table = build_mismatch_table(make_instance(strings, k), Counters())
     for (i, left), (j, right) in itertools.permutations(enumerate(strings), 2):
         lengths = range(max(len(left), len(right)), len(left) + len(right) + 1)
         clean = [length for length in lengths if overlay_is_clean(left, right, length)]
@@ -237,7 +237,7 @@ def test_case_partition_exhaustive_and_exclusive():
 def test_placement_mismatches_counts_union(strings, k):
     # the four-case counter equals a direct union count for every placement
     inst = make_instance(strings, k)
-    table = build_mismatch_table(inst)
+    table = build_mismatch_table(inst, Counters())
     l, m, r = 0, 1, 2
     len_l, len_m, len_r = (len(s) for s in strings)
     for length in range(max(len_l, len_r), len_l + len_m + len_r + 1):
@@ -307,7 +307,7 @@ def test_core_placements_and_scan_match_cell_oracle(inst):
     # every core's (length, m_start) is the oracle's first feasible cell, and
     # core_scan is exactly the number of cells the oracle visits to find them
     strings, k = inst.strings, inst.k
-    table = build_mismatch_table(inst)
+    table = build_mismatch_table(inst, Counters())
     triple_counters, pair_counters = Counters(), Counters()
     triple = triple_cores(inst, table, triple_counters)
     pairs = pair_cores(inst, table, pair_counters)
@@ -339,7 +339,7 @@ def test_overlaid_count_matches_four_case_reference_on_every_clean_cell(seed):
     inst = random_valid_instance(7000 + seed, n_choices=(4, 5), max_len=8, alphabets=(2, 3))
     strings = inst.strings
     lengths = [len(s) for s in strings]
-    table = build_mismatch_table(inst)
+    table = build_mismatch_table(inst, Counters())
     crossing = 0
     for l, m, r in itertools.permutations(range(inst.n), 3):
         len_l, len_m, len_r = lengths[l], lengths[m], lengths[r]
@@ -370,7 +370,7 @@ def test_triple_floor_never_exceeds_the_core():
     instances += [tables_instance(7100 + i) for i in range(3)]
     checked = tight = raised = 0
     for inst in instances:
-        table = build_mismatch_table(inst)
+        table = build_mismatch_table(inst, Counters())
         counters, by_group = Counters(), Counters()
         cores = CoreTable(inst, table, counters)
         overlap = build_overlap_table(inst, table)
@@ -403,7 +403,7 @@ def test_core_table_builds_one_group_per_first_lookup(inst):
     # (m, r) pair's first two-anchor key adds exactly its n - 2 cores; every
     # entry, and core_scan, is that of building the same groups directly
     n = inst.n
-    table = build_mismatch_table(inst)
+    table = build_mismatch_table(inst, Counters())
     counters, direct = Counters(), Counters()
     cores = CoreTable(inst, table, counters)
     # a key no builder makes is a KeyError that builds nothing: no anchor,

@@ -5,12 +5,12 @@ from operator import eq, ne
 import pytest
 from hypothesis import given, strategies as st
 
-from superstring import make_instance, build_mismatch_table
+from superstring import Counters, make_instance, build_mismatch_table
 from conftest import naive_mismatch_positions, random_valid_instance
 
 
 def table_for(strings, k=0):
-    return build_mismatch_table(make_instance(strings, k))
+    return build_mismatch_table(make_instance(strings, k), Counters())
 
 
 def assert_counts_match_naive_scan(strings, table):
@@ -51,7 +51,7 @@ STRING_SETS = st.lists(
 
 @given(STRING_SETS)
 def test_matches_naive_scan_everywhere(strings):
-    assert_counts_match_naive_scan(strings, build_mismatch_table(make_instance(strings, 0)))
+    assert_counts_match_naive_scan(strings, build_mismatch_table(make_instance(strings, 0), Counters()))
 
 
 def assert_budget_lists_match_counts(strings, table, top):
@@ -113,7 +113,7 @@ def test_budget_lists_are_kept_per_top_budget():
 @given(STRING_SETS)
 def test_symmetric_totals(strings):
     inst = make_instance(strings, 0)
-    table = build_mismatch_table(inst)
+    table = build_mismatch_table(inst, Counters())
     for i in range(len(strings)):
         for j in range(len(strings)):
             if i == j:
@@ -124,7 +124,7 @@ def test_symmetric_totals(strings):
 @pytest.mark.parametrize("seed", range(8))
 def test_counts_match_position_lists(seed):
     inst = random_valid_instance(seed, n_choices=(3, 4, 5), max_len=9, alphabets=(2, 3, 4))
-    assert_counts_match_naive_scan(inst.strings, build_mismatch_table(inst))
+    assert_counts_match_naive_scan(inst.strings, build_mismatch_table(inst, Counters()))
 
 
 def nearly_uniform(length, seed, letters="ab"):

@@ -20,7 +20,7 @@ from conftest import random_valid_instance, substring_free
 
 def overlaps(inst) -> list[list[int]]:
     """The solver's overlap table, read from the mismatch counts."""
-    return build_overlap_table(inst, build_mismatch_table(inst))
+    return build_overlap_table(inst, build_mismatch_table(inst, Counters()))
 
 
 def direct_overlaps(inst) -> list[list[int]]:
@@ -35,7 +35,7 @@ def direct_overlaps(inst) -> list[list[int]]:
 
 
 def subset_table(inst):
-    return build_subset_table(inst, overlaps(inst))
+    return build_subset_table(inst, overlaps(inst), Counters())
 
 
 def plain_chain_dp(lengths, overlaps) -> list[list[int | None]]:
@@ -130,6 +130,20 @@ def test_dp_examples():
     assert dp_right[0][0] == dp_right[1][0] == never(dp_right)
 
 
+def test_both_builders_accept_one_string():
+    # one string makes no pair and no recurrence term: an empty mismatch
+    # table, and subset tables holding only the string's own chain
+    inst = make_instance(["abcab"], 1)
+    counters = Counters()
+    mismatch = build_mismatch_table(inst, counters)
+    assert mismatch.counts == {}
+    assert counters.pair_build == 0
+    table = build_subset_table(inst, build_overlap_table(inst, mismatch), counters)
+    assert table.dp_right[0][1] == table.dp_left[0][1] == 5
+    assert list(table.row_min) == [0, 5]
+    assert counters == Counters()
+
+
 def seeded_instances(base, count, **kwargs):
     return [random_valid_instance(base + t, **kwargs) for t in range(count)]
 
@@ -137,7 +151,7 @@ def seeded_instances(base, count, **kwargs):
 def test_recurrence_holds_everywhere():
     for inst in seeded_instances(4200, 10, n_choices=(2, 3, 4, 5)):
         overlap = overlaps(inst)
-        dp_right = build_subset_table(inst, overlap).dp_right
+        dp_right = build_subset_table(inst, overlap, Counters()).dp_right
         lengths = [len(s) for s in inst.strings]
         off = never(dp_right)
         assert off > sum(lengths) + max(lengths)
@@ -211,7 +225,7 @@ def assert_tables_equal_the_plain_ones(inst):
     """
     overlap = direct_overlaps(inst)
     lengths = [len(s) for s in inst.strings]
-    table = build_subset_table(inst, overlap)
+    table = build_subset_table(inst, overlap, Counters())
     right, left = rows(table.dp_right), rows(table.dp_left)
     assert right == plain_chain_dp(lengths, overlap)
     assert left == plain_chain_dp(lengths, list(zip(*overlap)))
