@@ -90,11 +90,15 @@ def generate_instance(params: GeneratorParams, seed: int, k: int) -> Instance:
 
 
 def _parse_gen_spec(text: str) -> GeneratorParams:
+    bad = f"bad --gen spec {text!r}: expected n=<int>,len=<a>..<b>,alphabet=<int>"
     fields = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    bad = f"bad --gen spec {text!r}: expected n=<int>,len=<a>..<b>,alphabet=<int>"
+        key = key.strip()
+        # the last value would win silently
+        if key in fields:
+            raise InstanceError(f"{bad}, got key {key} twice")
+        fields[key] = value.strip()
     unknown = sorted(fields.keys() - {"n", "len", "alphabet"})
     if unknown:
         raise InstanceError(f"{bad}, got unknown key {', '.join(unknown)}")
@@ -126,7 +130,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
 
     try:
         instance = _load_instance(config)
-    except (InstanceError, OSError) as exc:
+    except (InstanceError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

@@ -78,6 +78,17 @@ def test_empty_file_input(tmp_path):
     assert "no strings" in err
 
 
+def test_file_input_not_utf8_exit_code(tmp_path):
+    # bytes that are not UTF-8 are invalid input, not an internal failure
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ab\n\xff\xfecd\n")
+    config = RunConfig(k=1, input_path=str(path))
+    code, out, err = run_capture(config)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_file_input(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("# demo\nab\ncd\n")
@@ -202,12 +213,13 @@ def test_bad_gen_spec_exit_code():
 
 @pytest.mark.parametrize(
     "spec",
-    ["n=3,len=2..3,alphabet=30", "n=3,len=2..3,alphabet=2,extra=1"],
-    ids=["alphabet-above-26", "unknown-key"],
+    ["n=3,len=2..3,alphabet=30", "n=3,len=2..3,alphabet=2,extra=1", "n=3,len=2..3,alphabet=2,n=4"],
+    ids=["alphabet-above-26", "unknown-key", "repeated-key"],
 )
 def test_gen_spec_it_cannot_honour_exit_code(spec, capsys):
-    # 26 letters are all the generator has, and a key it does not know
-    # would silently change nothing
+    # 26 letters are all the generator has, a key it does not know would
+    # silently change nothing, and of a repeated key the last value would
+    # silently win
     assert main(["--gen", spec, "--k", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
