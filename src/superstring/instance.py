@@ -35,10 +35,19 @@ class InvalidInstanceError(InstanceError):
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable problem instance, safe to share."""
+    """An immutable problem instance, safe to share.
+
+    At least one string and a non-negative integer budget, or InstanceError.
+    """
 
     strings: tuple[str, ...]
     k: int
+
+    def __post_init__(self):
+        if not isinstance(self.k, int) or self.k < 0:
+            raise InstanceError("invalid budget")
+        if not self.strings:
+            raise InstanceError("no strings")
 
     @property
     def n(self) -> int:
@@ -74,21 +83,17 @@ class ValidationReport:
 
 
 def make_instance(strings, k: int, *, max_strings: int = DEFAULT_MAX_STRINGS) -> Instance:
-    """Build an Instance from an iterable of strings, checking cheap limits.
+    """Build an Instance from an iterable of strings, checking the cap on their number.
 
     Substring-freeness is deliberately not checked here; use :func:`validate`.
     """
-    strings = tuple(strings)
-    if k < 0:
-        raise InstanceError("invalid budget")
-    if not strings:
-        raise InstanceError("no strings")
-    if len(strings) > max_strings:
+    instance = Instance(strings=tuple(strings), k=k)
+    if instance.n > max_strings:
         raise InstanceError(
-            f"too many strings: {len(strings)} > {max_strings} "
+            f"too many strings: {instance.n} > {max_strings} "
             f"(the subset tables grow as n * 2^n; raise max_strings to override)"
         )
-    return Instance(strings=strings, k=k)
+    return instance
 
 
 def parse_instance(text: str, k: int, *, max_strings: int = DEFAULT_MAX_STRINGS) -> Instance:

@@ -52,10 +52,10 @@ fits inside the mistake string with nothing fixed.  One routine (``_glue``)
 prices the strings outside the window for every shape: a left chain ending
 in l if l exists, a right chain starting in r if r exists, the cheapest
 split of the outside strings between both when both do, and nothing when
-neither does.  One helper (``_window``) gives the window for composition
-and reconstruction alike: the merge core when the interior set is empty,
-the placement engine otherwise.  Reconstruction has one path: each chain
-is laid out iff its anchor exists.
+neither does.  Composition and reconstruction read the window the same
+way: the merge core for the empty interior set, the placement engine
+otherwise.  Reconstruction has one path: each chain is laid out iff its
+anchor exists.
 
 Window first, glue second.  With both anchors the glue is a scan over every
 split of the outside strings O (the Held-Karp subset tables read back per
@@ -121,15 +121,19 @@ cannot beat the incumbent asks for no window at all.
 
 Candidates are tuples ``(length, kind, m, l, r, interior_mask,
 partition_mask)``, where the partition mask is the left chain's share of
-the strings outside the window.  One incumbent is carried through every
-mistake string, and a candidate replaces it iff its (length, kind) is
-smaller.  The answer is the least candidate in tuple order, with one
-exception: interior sets are tried in descending mask order and, within
-one m, a window scan only reports a window strictly shorter than the
-incumbent, so among equal-length absorbed candidates of one (kind, m, l, r)
-the first set tried, the one with the largest mask, wins.  The enumeration
-order is fixed, so the reported answer, witness and offsets are
-deterministic.
+the strings outside the window.  The baseline's is ``(row_min[full],
+_BASELINE, 0, -1, -1, 0, 0)``: string 0 is the mistake string it reports,
+and it has no anchor, interior or left chain; it seeds the incumbent, so
+the answer's m is the reported mistake string whatever its kind, and the
+witness lays every string but m, then fills m's uncovered positions from
+m.  One incumbent is carried through every mistake string, and a candidate
+replaces it iff its (length, kind) is smaller.  The answer is the least
+candidate in tuple order, with one exception: interior sets are tried in
+descending mask order and, within one m, a window scan only reports a
+window strictly shorter than the incumbent, so among equal-length absorbed
+candidates of one (kind, m, l, r) the first set tried, the one with the
+largest mask, wins.  The enumeration order is fixed, so the reported
+answer, witness and offsets are deterministic.
 """
 
 from __future__ import annotations
@@ -166,21 +170,22 @@ class ReconstructionError(RuntimeError):
 
 @dataclass
 class Solution:
-    """Optimal length plus, when reconstruction is requested, a witness.
+    """Optimal length, the solve's work counters and, when reconstruction is
+    requested, a witness.
 
     ``offsets[i]`` is the start of string i inside the witness;
     ``mismatch_positions`` are the witness positions where the mistake string
     disagrees.  For the all-exact baseline arrangement no string carries a
     mismatch and ``mistake_index`` is reported as 0 with an empty position
-    list.
+    list.  The three witness fields stay None without reconstruction.
     """
 
     length: int
     mistake_index: int
+    counters: Counters
     witness: str | None = None
     offsets: list[int] | None = None
     mismatch_positions: list[int] | None = None
-    counters: Counters | None = None
 
 
 @dataclass
@@ -449,12 +454,12 @@ class _Placer:
     def interiors(self, cover, interior_mask):
         """{interior: offset in m} of interior_mask's first placement under a cover.
 
-        The options of its strings are asked for first (`_order`), then the
-        strings are placed in index order, whatever order the feasibility
-        search used, so the offsets do not depend on it.
+        The cover must be one `first_window` has just returned for
+        interior_mask, so the options of every string of the set are already
+        filtered.  The strings are placed in index order, whatever order the
+        feasibility search used, so the offsets do not depend on it.
         """
         value, covered, cost, options = cover[:4]
-        self._order(cover, interior_mask)
         order = _bits(interior_mask, len(options))
         return dict(_search(options, order, 0, value, covered, cost, self.k, self.counters))
 
@@ -501,20 +506,6 @@ def _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor):
         row_min[outside | 1 << l] - lengths[l] - max_out[r],
         row_min[outside | 1 << r] - lengths[r] - max_in[l],
     )
-
-
-def _window(cores, placer, m, l, r, interior_mask, cutoff):
-    """(length, m_start, cover) of the first window shorter than cutoff, or None.
-
-    The window holds m, the anchors l and r (-1 when absent) and the strings
-    of interior_mask strictly inside m.  With no interiors it is the merge
-    core of the anchors and m, whose cover is None; otherwise the placement
-    engine scans for it.
-    """
-    if interior_mask:
-        return placer.first_window(l, r, interior_mask, cutoff)
-    core = cores[l, m, r]
-    return (core.length, core.m_start, None) if core.length < cutoff else None
 
 
 def _candidates_for_m(instance, tables, m, best, counters):
@@ -615,9 +606,11 @@ def _candidates_for_m(instance, tables, m, best, counters):
                 floor = None if glue is None else glue[0]
             # no window is shorter than the merge core of the anchors and m
             if floor is not None and floor + shortest < cutoff:
-                # the window is the shortest below the cutoff whatever the
-                # cutoff, so a bound in place of the glue finds the same one
-                found = _window(cores, placer, m, l, r, interior, cutoff - floor)
+                # an anchored shape's window is the merge core, which the test
+                # above has just read: `shortest`.  An absorbed shape's is the
+                # shortest below the cutoff whatever the cutoff, so a bound in
+                # place of the glue finds the same one
+                found = placer.first_window(l, r, interior, cutoff - floor) if interior else (shortest,)
                 if found is not None:
                     if both:
                         glue = _glue(subsets, lengths, l, r, outside, counters)
@@ -651,7 +644,9 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
     tables = _solve_tables(instance, counters)
     counters.composition += n
     full = (1 << n) - 1
-    best = (tables.subsets.row_min[full], _BASELINE, -1, -1, -1, -1, -1)
+    # the baseline reports string 0 as its mistake string, with no anchor,
+    # interior or left chain
+    best = (tables.subsets.row_min[full], _BASELINE, 0, -1, -1, 0, 0)
     # at k = 0 no candidate beats the baseline (module docstring), so none is composed
     if instance.k > 0:
         for m in range(n):
@@ -661,15 +656,14 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
                 continue
             best = _candidates_for_m(instance, tables, m, best, counters)
 
-    kind = best[1]
-    mistake_index = 0 if kind == _BASELINE else best[2]
-    solution = Solution(length=best[0], mistake_index=mistake_index, counters=counters)
+    m = best[2]
+    solution = Solution(length=best[0], mistake_index=m, counters=counters)
     if reconstruct:
         witness, offsets = _assemble(instance, tables, best)
         solution.witness = witness
         solution.offsets = offsets
-        mistake = instance.strings[mistake_index]
-        at = offsets[mistake_index]
+        mistake = instance.strings[m]
+        at = offsets[m]
         solution.mismatch_positions = [
             at + t for t in range(len(mistake)) if witness[at + t] != mistake[t]
         ]
@@ -723,13 +717,15 @@ def _assemble(instance, tables, best) -> tuple[str, list[int]]:
         last = next(j for j in range(n) if tables.subsets.dp_right[j][full] == length)
         placed = _chain(instance, tables, full, last, rightmost=True)
     else:
-        placer = None
         if interior_mask:
             placer = _Placer(instance, tables.mismatch, m, interior_mask, Counters())
-        found = _window(tables.cores, placer, m, l, r, interior_mask, length + 1)
-        assert found is not None, "winning window vanished on reconstruction"
-        window_len, m_start, cover = found
-        inner = placer.interiors(cover, interior_mask) if placer else {}
+            found = placer.first_window(l, r, interior_mask, length + 1)
+            assert found is not None, "winning window vanished on reconstruction"
+            window_len, m_start, cover = found
+            inner = placer.interiors(cover, interior_mask)
+        else:
+            core = tables.cores[l, m, r]
+            window_len, m_start, inner = core.length, core.m_start, {}
         # each chain exists iff its anchor does; `sub` is the left chain's
         # share of the strings outside the window, the right chain has the rest
         left_mask = sub | _bit(l)
@@ -750,17 +746,17 @@ def _assemble(instance, tables, best) -> tuple[str, list[int]]:
     for idx, at in placed:
         offsets[idx] = at
 
-    mistake_index = m if kind != _BASELINE else 0
+    # every string but m is exact; positions seen only by m take its
+    # characters, positions seen by nothing the smallest symbol of the
+    # instance's alphabet.  The baseline's chain is exact throughout, so
+    # string 0, its m, agrees with every string that covers it
     chars: list[str | None] = [None] * length
     for idx, at in placed:
-        if idx == mistake_index and kind != _BASELINE:
-            continue
-        for t, ch in enumerate(strings[idx]):
-            chars[at + t] = ch
-    # positions seen only by the mistake string take its characters; positions
-    # seen by nothing take the smallest symbol of the instance's alphabet
-    mistake = strings[mistake_index]
-    at = offsets[mistake_index]
+        if idx != m:
+            for t, ch in enumerate(strings[idx]):
+                chars[at + t] = ch
+    mistake = strings[m]
+    at = offsets[m]
     for t in range(len(mistake)):
         if chars[at + t] is None:
             chars[at + t] = mistake[t]

@@ -38,6 +38,21 @@ def test_parse_negative_budget():
         parse_instance("ab\n", -1)
 
 
+@pytest.mark.parametrize(
+    "strings, k, message",
+    [((), 0, "no strings"), (("ab", "cd"), -1, "invalid budget"), (("ab", "cd"), 1.5, "invalid budget")],
+)
+def test_instance_refuses_no_strings_and_a_bad_budget(strings, k, message):
+    # built directly, not through make_instance, so solve never sees such an
+    # instance (it would index past an empty list)
+    from superstring import Instance
+
+    with pytest.raises(InstanceError, match=message):
+        Instance(strings=strings, k=k)
+    with pytest.raises(InstanceError, match=message):
+        make_instance(strings, k)
+
+
 def test_parse_preserves_order_and_crlf():
     inst = parse_instance("ba\r\nab\r\n", 0)
     assert inst.strings == ("ba", "ab")

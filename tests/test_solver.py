@@ -88,6 +88,17 @@ def test_reconstruct_chain():
     assert solution.offsets == [0, 1, 2]
 
 
+def test_reconstruct_baseline_whose_string_zero_is_not_leftmost():
+    # at k = 1 nothing beats the all-exact chain "abcd"; the baseline reports
+    # string 0 as its mistake string, and string 0 starts inside the chain
+    solution = solve(make_instance(["bcd", "abc"], 1), reconstruct=True)
+    assert solution.length == 4
+    assert solution.mistake_index == 0
+    assert solution.witness == "abcd"
+    assert solution.offsets == [1, 0]
+    assert solution.mismatch_positions == []
+
+
 def test_interior_absorption():
     # the shortest answer stamps "aaa" inside "bccbb"'s occupied span; the
     # anchored shapes alone cannot reach length 6
@@ -269,6 +280,12 @@ def test_budget_monotonicity_at_nine_strings_and_more():
             if previous is not None:
                 assert length <= previous, (inst.strings, k)
             previous = length
+
+
+def _baseline(inst, tables):
+    """The incumbent solve starts from: the all-exact chain, reporting string
+    0 as its mistake string, with no anchor, interior or left chain."""
+    return (tables.subsets.row_min[(1 << inst.n) - 1], _BASELINE, 0, -1, -1, 0, 0)
 
 
 def _composed_by_solve(inst):
@@ -546,7 +563,7 @@ def test_zero_budget_composition_never_beats_the_baseline():
     ties = 0
     for inst in _zero_budget_instances(20261025):
         tables = _solve_tables(inst, Counters())
-        baseline = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+        baseline = _baseline(inst, tables)
         longer = (baseline[0] + 1,) + baseline[1:]
         for m in range(inst.n):
             assert _candidates_for_m(inst, tables, m, baseline, Counters()) == baseline, (inst.strings, m)
@@ -587,7 +604,7 @@ def test_carried_incumbent_equals_the_least_candidate_of_every_m():
     later_ties = 0
     for inst in instances:
         tables = _solve_tables(inst, Counters())
-        baseline = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+        baseline = _baseline(inst, tables)
         carried = baseline
         for m in range(inst.n):
             carried = _candidates_for_m(inst, tables, m, carried, Counters())
@@ -625,7 +642,7 @@ def test_skipped_mistake_strings_would_return_the_incumbent():
     skipped = composed = 0
     for inst in _skip_instances(20261027):
         tables = _solve_tables(inst, Counters())
-        baseline = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+        baseline = _baseline(inst, tables)
         solution, calls = _composed_by_solve(inst)
         steps = {m: (before, after) for m, before, after in calls}
         best = every = baseline
@@ -657,7 +674,7 @@ def test_a_skipped_mistake_string_builds_no_merge_core():
         counters = Counters()
         tables = _solve_tables(inst, counters)
         counters.composition += n
-        best = (tables.subsets.row_min[full], _BASELINE, -1, -1, -1, -1, -1)
+        best = _baseline(inst, tables)
         composed = []
         for m in range(n):
             if tables.subsets.row_min[full ^ (1 << m)] >= best[0] + (_EDGE_LEFT < best[1]):
@@ -747,7 +764,7 @@ def test_fitting_set_sweep_matches_the_sweep_over_every_set():
                 patch.setattr(_Placer, "fitting_sets", sweep)
             for inst in instances:
                 tables = _solve_tables(inst, Counters())
-                best = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+                best = _baseline(inst, tables)
                 for m in range(inst.n):
                     best = _candidates_for_m(inst, tables, m, best, Counters())
                 bests.append(best)
@@ -799,7 +816,7 @@ def test_split_floor_prunes_without_changing_any_answer():
                 patch.setattr(solver_module, "_split_floor", floor)
             for inst in instances:
                 tables = _solve_tables(inst, Counters())
-                best = (tables.subsets.row_min[(1 << inst.n) - 1], 0, -1, -1, -1, -1, -1)
+                best = _baseline(inst, tables)
                 for m in range(inst.n):
                     best = _candidates_for_m(inst, tables, m, best, Counters())
                 bests.append(best)
