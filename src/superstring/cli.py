@@ -5,10 +5,14 @@ random generator; optionally reconstruct and verify a witness, cross-check
 the answer against the brute-force reference, emit JSON, and report the
 per-phase iteration counters against their closed-form bounds.
 
+`config_from_args` returns the parsed `argparse.Namespace` (with `--strings`
+split, `--gen` parsed and `--verify` implying `--reconstruct`), and `run`
+reads its options from it by their argparse names.
+
 Exit codes: 0 success, 1 internal check failed (a reconstructed witness
 failed verification, or a `--counters` counter exceeded its bound), 2
-invalid input (substring violation, empty input, bad parameters), 3 oracle
-limits exceeded, 4 solver/oracle disagreement.
+invalid input (containment violation, an empty string or no strings, bad
+parameters), 3 oracle limits exceeded, 4 solver/oracle disagreement.
 """
 
 from __future__ import annotations
@@ -42,34 +46,19 @@ class GeneratorParams:
     alphabet: int
 
 
-@dataclass
-class RunConfig:
-    k: int
-    input_path: str | None = None
-    strings: list[str] | None = None
-    gen: GeneratorParams | None = None
-    seed: int = 0
-    reconstruct: bool = False
-    verify: bool = False
-    oracle_check: bool = False
-    json_output: bool = False
-    counters: bool = False
-
-
 def generate_instance(params: GeneratorParams, seed: int, k: int) -> Instance:
     """Draw a valid instance using a Mersenne Twister seeded with `seed`.
 
     Strings are drawn uniformly over the first `alphabet` lowercase letters
     (2 to 26) and the given length range; draws that would create a
     containment pair (or a duplicate) are rejected and retried.  The seed
-    fully determines the result.
+    fully determines the result.  A count below 1 draws nothing, and the
+    Instance refuses it with "no strings".
     """
     if not 2 <= params.alphabet <= 26:
         raise InstanceError("alphabet size must be between 2 and 26")
     if params.min_len < 1 or params.min_len > params.max_len:
         raise InstanceError("length range is empty")
-    if params.count < 1:
-        raise InstanceError("no strings")
     rng = random.Random(seed)
     letters = "abcdefghijklmnopqrstuvwxyz"[: params.alphabet]
     strings: list[str] = []
@@ -114,17 +103,16 @@ def _parse_gen_spec(text: str) -> GeneratorParams:
         raise InstanceError(bad) from exc
 
 
-def _load_instance(config: RunConfig) -> Instance:
+def _load_instance(config: argparse.Namespace) -> Instance:
     if config.gen is not None:
         return generate_instance(config.gen, config.seed, config.k)
     if config.strings is not None:
         return make_instance(config.strings, config.k)
-    assert config.input_path is not None
-    with open(config.input_path, encoding="utf-8") as handle:
+    with open(config.input, encoding="utf-8") as handle:
         return parse_instance(handle.read(), config.k)
 
 
-def run(config: RunConfig, out=None, err=None) -> int:
+def run(config: argparse.Namespace, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
 
@@ -136,22 +124,18 @@ def run(config: RunConfig, out=None, err=None) -> int:
 
     report = validate(instance)
     if not report.ok:
-        for kind, a, b in report.violations:
-            if kind == "substring":
-                print(
-                    f"error: substring violation: strings[{a}]={instance.strings[a]!r} "
-                    f"occurs in strings[{b}]={instance.strings[b]!r}",
-                    file=err,
-                )
-            else:
-                print(f"error: {kind} violation at string {a}", file=err)
+        for _, a, b in report.violations:
+            print(
+                f"error: substring violation: strings[{a}]={instance.strings[a]!r} "
+                f"occurs in strings[{b}]={instance.strings[b]!r}",
+                file=err,
+            )
         return 2
 
     # solve verifies every witness it builds and raises on a bad one
     try:
         solution = solve(instance, reconstruct=config.reconstruct)
-        verify = config.verify and solution.witness is not None
-        problems = verify_solution(instance, solution) if verify else []
+        problems = verify_solution(instance, solution) if config.verify else []
     except ReconstructionError as exc:
         problems = exc.problems
     if problems:
@@ -182,7 +166,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
             )
             return 4
 
-    if config.json_output:
+    if config.json:
         payload = {
             "n": instance.n,
             "k": instance.k,
@@ -239,20 +223,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv=None) -> RunConfig:
+def config_from_args(argv=None) -> argparse.Namespace:
     args = _build_parser().parse_args(argv)
-    return RunConfig(
-        k=args.k,
-        input_path=args.input,
-        strings=args.strings.split(",") if args.strings is not None else None,
-        gen=_parse_gen_spec(args.gen) if args.gen is not None else None,
-        seed=args.seed,
-        reconstruct=args.reconstruct or args.verify,
-        verify=args.verify,
-        oracle_check=args.oracle_check,
-        json_output=args.json,
-        counters=args.counters,
-    )
+    if args.strings is not None:
+        args.strings = args.strings.split(",")
+    if args.gen is not None:
+        args.gen = _parse_gen_spec(args.gen)
+    # a witness is what --verify checks
+    args.reconstruct |= args.verify
+    return args
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,12 @@
 """Problem instances: parsing, validation and serialization.
 
-An instance is an ordered collection of non-empty strings together with a
-non-negative mismatch budget ``k``.  The solver searches for the shortest
-string that contains every input exactly, except for one designated input
-that may disagree with it in at most ``k`` positions.  For the problem to be
-well posed no input string may occur as a substring of another (this also
-rules out duplicates).
+An instance is a tuple of non-empty strings together with a non-negative
+integer mismatch budget ``k``; :class:`Instance` refuses any other shape.
+The solver searches for the shortest string that contains every input
+exactly, except for one designated input that may disagree with it in at
+most ``k`` positions.  For the problem to be well posed no input string may
+occur as a substring of another (this also rules out duplicates);
+:func:`validate` reports every such pair.
 
 The text format is one string per line; lines starting with ``#`` are
 comments and blank lines are skipped.  Symbols are arbitrary code points,
@@ -37,17 +38,24 @@ class InvalidInstanceError(InstanceError):
 class Instance:
     """An immutable problem instance, safe to share.
 
-    At least one string and a non-negative integer budget, or InstanceError.
+    A tuple of at least one string, each a non-empty ``str``, and a
+    non-negative ``int`` budget that is not a ``bool``, or InstanceError.
+    Containment between the strings is :func:`validate`'s to report.
     """
 
     strings: tuple[str, ...]
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 0:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0:
             raise InstanceError("invalid budget")
+        if not isinstance(self.strings, tuple):
+            raise InstanceError("strings is not a tuple")
         if not self.strings:
             raise InstanceError("no strings")
+        for i, s in enumerate(self.strings):
+            if not isinstance(s, str) or not s:
+                raise InstanceError(f"string {i} is not a non-empty str")
 
     @property
     def n(self) -> int:
@@ -69,10 +77,11 @@ class Instance:
 class ValidationReport:
     """Outcome of :func:`validate`: empty ``violations`` means valid.
 
-    Each violation is a ``(kind, index_a, index_b)`` triple with kind
-    ``substring`` (strings[index_a] occurs inside strings[index_b]; equal
-    strings are reported this way too) or ``empty`` (strings[index_a] is
-    empty, and index_b == index_a).
+    Each violation is a ``("substring", index_a, index_b)`` triple:
+    strings[index_a] occurs inside strings[index_b], and equal strings are
+    reported this way too.  The kind is always ``substring``; it is kept so
+    that :class:`InvalidInstanceError` messages and existing callers do not
+    change.
     """
 
     violations: list[tuple[str, int, int]] = field(default_factory=list)
@@ -85,7 +94,9 @@ class ValidationReport:
 def make_instance(strings, k: int, *, max_strings: int = DEFAULT_MAX_STRINGS) -> Instance:
     """Build an Instance from an iterable of strings, checking the cap on their number.
 
-    Substring-freeness is deliberately not checked here; use :func:`validate`.
+    The iterable becomes the tuple :class:`Instance` requires, and the
+    Instance checks its own shape.  Substring-freeness is deliberately not
+    checked here; use :func:`validate`.
     """
     instance = Instance(strings=tuple(strings), k=k)
     if instance.n > max_strings:
@@ -119,15 +130,13 @@ def validate(instance: Instance) -> ValidationReport:
     """Report every containment violation in the instance.
 
     A direct substring scan is run for every ordered pair; equal strings show
-    up as substring violations in both directions.
+    up as substring violations in both directions.  No string is empty (the
+    Instance refused it), so none is trivially contained.
     """
     report = ValidationReport()
     strings = instance.strings
-    for i, s in enumerate(strings):
-        if not s:
-            report.violations.append(("empty", i, i))
     for a, sa in enumerate(strings):
         for b, sb in enumerate(strings):
-            if a != b and sa and sa in sb:
+            if a != b and sa in sb:
                 report.violations.append(("substring", a, b))
     return report

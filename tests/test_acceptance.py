@@ -22,7 +22,7 @@ from superstring import (
     solve,
     verify_solution,
 )
-from superstring.cli import GeneratorParams, RunConfig, generate_instance, run
+from superstring.cli import GeneratorParams, config_from_args, generate_instance, run
 from superstring.counters import Counters
 from conftest import all_binary_strings, random_valid_instance, substring_free
 
@@ -194,12 +194,8 @@ def test_criterion_8_determinism(random_suite):
     rows, _ = random_suite
     diverging = 0
     for inst, _, _ in rows:
-        config = RunConfig(
-            k=inst.k,
-            strings=list(inst.strings),
-            reconstruct=True,
-            json_output=True,
-            counters=True,
+        config = config_from_args(
+            ["--strings", ",".join(inst.strings), "--k", str(inst.k), "--reconstruct", "--json", "--counters"]
         )
         outputs = set()
         for _ in range(3):

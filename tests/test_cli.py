@@ -6,7 +6,6 @@ import pytest
 from superstring import InstanceError
 from superstring.cli import (
     GeneratorParams,
-    RunConfig,
     config_from_args,
     generate_instance,
     main,
@@ -14,15 +13,14 @@ from superstring.cli import (
 )
 
 
-def run_capture(config):
+def run_capture(argv):
     out, err = io.StringIO(), io.StringIO()
-    code = run(config, out=out, err=err)
+    code = run(config_from_args(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
 def test_json_output_schema():
-    config = RunConfig(k=2, strings=["ab", "cd"], json_output=True)
-    code, out, err = run_capture(config)
+    code, out, err = run_capture(["--strings", "ab,cd", "--k", "2", "--json"])
     assert code == 0
     payload = json.loads(out)
     assert list(payload) == [
@@ -43,8 +41,7 @@ def test_json_output_schema():
 
 
 def test_json_with_reconstruct_and_counters():
-    config = RunConfig(k=2, strings=["ab", "cd"], json_output=True, reconstruct=True, counters=True)
-    code, out, _ = run_capture(config)
+    code, out, _ = run_capture(["--strings", "ab,cd", "--k", "2", "--json", "--reconstruct", "--counters"])
     assert code == 0
     payload = json.loads(out)
     assert payload["witness"] == "cd"
@@ -55,15 +52,13 @@ def test_json_with_reconstruct_and_counters():
 
 
 def test_human_output():
-    config = RunConfig(k=2, strings=["ab", "cd"])
-    code, out, _ = run_capture(config)
+    code, out, _ = run_capture(["--strings", "ab,cd", "--k", "2"])
     assert code == 0
     assert out.splitlines()[0] == "length=2 m=0"
 
 
 def test_substring_violation_exit_code_and_message():
-    config = RunConfig(k=0, strings=["ab", "abc"])
-    code, out, err = run_capture(config)
+    code, out, err = run_capture(["--strings", "ab,abc", "--k", "0"])
     assert code == 2
     assert "substring violation" in err
     assert "'ab'" in err and "'abc'" in err
@@ -72,8 +67,7 @@ def test_substring_violation_exit_code_and_message():
 def test_empty_file_input(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing\n")
-    config = RunConfig(k=0, input_path=str(path))
-    code, _, err = run_capture(config)
+    code, _, err = run_capture(["--input", str(path), "--k", "0"])
     assert code == 2
     assert "no strings" in err
 
@@ -82,8 +76,7 @@ def test_file_input_not_utf8_exit_code(tmp_path):
     # bytes that are not UTF-8 are invalid input, not an internal failure
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ab\n\xff\xfecd\n")
-    config = RunConfig(k=1, input_path=str(path))
-    code, out, err = run_capture(config)
+    code, out, err = run_capture(["--input", str(path), "--k", "1"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -92,24 +85,20 @@ def test_file_input_not_utf8_exit_code(tmp_path):
 def test_file_input(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("# demo\nab\ncd\n")
-    config = RunConfig(k=2, input_path=str(path), json_output=True)
-    code, out, _ = run_capture(config)
+    code, out, _ = run_capture(["--input", str(path), "--k", "2", "--json"])
     assert code == 0
     assert json.loads(out)["length"] == 2
 
 
 def test_oracle_check_agreement():
-    config = RunConfig(k=1, strings=["ab", "ba"], oracle_check=True)
-    code, _, _ = run_capture(config)
+    code, _, _ = run_capture(["--strings", "ab,ba", "--k", "1", "--oracle-check"])
     assert code == 0
 
 
 def test_oracle_check_limit_exit_code():
-    config = RunConfig(
-        k=1, gen=GeneratorParams(count=6, min_len=3, max_len=3, alphabet=3),
-        seed=5, oracle_check=True,
+    code, _, err = run_capture(
+        ["--gen", "n=6,len=3..3,alphabet=3", "--seed", "5", "--k", "1", "--oracle-check"]
     )
-    code, _, err = run_capture(config)
     assert code == 3
     assert "oracle limits" in err
 
@@ -122,15 +111,13 @@ def test_oracle_disagreement_exit_code(monkeypatch):
     monkeypatch.setattr(
         cli_module, "brute_force_min_length", lambda inst: OracleResult(1, "x", 0)
     )
-    config = RunConfig(k=1, strings=["ab", "ba"], oracle_check=True)
-    code, _, err = run_capture(config)
+    code, _, err = run_capture(["--strings", "ab,ba", "--k", "1", "--oracle-check"])
     assert code == 4
     assert "disagreement" in err
 
 
 def test_verify_flag_passes_on_valid_run():
-    config = RunConfig(k=2, strings=["ab", "cd"], reconstruct=True, verify=True)
-    code, out, err = run_capture(config)
+    code, out, err = run_capture(["--strings", "ab,cd", "--k", "2", "--reconstruct", "--verify"])
     assert code == 0
     assert err == ""
     assert "witness=" in out
@@ -170,19 +157,15 @@ def test_generator_infeasible():
 
 
 def test_gen_run_byte_identical():
-    config = RunConfig(
-        k=1, gen=GeneratorParams(count=3, min_len=2, max_len=4, alphabet=2),
-        seed=7, json_output=True, reconstruct=True,
-    )
-    outputs = {run_capture(config)[1] for _ in range(2)}
+    argv = ["--gen", "n=3,len=2..4,alphabet=2", "--seed", "7", "--k", "1", "--json", "--reconstruct"]
+    outputs = {run_capture(argv)[1] for _ in range(2)}
     assert len(outputs) == 1
 
 
 def test_singleton_counters_follow_the_composition_formula():
     # one string takes the general path: n + c n(n-1) = 1 composition, and
     # no pair, subset-recurrence term, core, window or split is counted
-    config = RunConfig(k=3, strings=["abc"], json_output=True, counters=True)
-    code, out, _ = run_capture(config)
+    code, out, _ = run_capture(["--strings", "abc", "--k", "3", "--json", "--counters"])
     assert code == 0
     counters = json.loads(out)["counters"]
     assert counters.pop("composition") == {"count": 1, "bound": 1}
@@ -194,7 +177,7 @@ def test_argparse_round_trip():
     config = config_from_args(argv)
     assert config.strings == ["ab", "cd"]
     assert config.k == 2
-    assert config.json_output and config.reconstruct
+    assert config.json and config.reconstruct
     # there is no --threads option, so argparse rejects it
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--threads", "2"])
@@ -226,6 +209,21 @@ def test_gen_spec_it_cannot_honour_exit_code(spec, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--strings", "ab,,cd", "--k", "1"], ["--gen", "n=0,len=2..3,alphabet=2", "--k", "1"]],
+    ids=["empty-string", "no-strings"],
+)
+def test_malformed_strings_exit_code(argv, capsys):
+    # the Instance refuses an empty string and an empty string list, and the
+    # CLI reports its InstanceError as one error line
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_main_smoke(capsys):
     assert main(["--strings", "ab,ba", "--k", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -237,15 +235,14 @@ def test_verify_failure_exit_code(monkeypatch):
     import superstring.cli as cli_module
 
     monkeypatch.setattr(cli_module, "verify_solution", lambda inst, sol: ["simulated"])
-    config = RunConfig(k=2, strings=["ab", "cd"], reconstruct=True, verify=True)
-    code, out, err = run_capture(config)
+    code, out, err = run_capture(["--strings", "ab,cd", "--k", "2", "--reconstruct", "--verify"])
     assert code == 1
     assert out == ""
     assert "verification failed: simulated" in err
 
 
-@pytest.mark.parametrize("verify", [True, False], ids=["verify", "reconstruct-only"])
-def test_bad_witness_from_the_solver_exit_code(monkeypatch, verify):
+@pytest.mark.parametrize("flag", ["--verify", "--reconstruct"], ids=["verify", "reconstruct-only"])
+def test_bad_witness_from_the_solver_exit_code(monkeypatch, flag):
     # solve checks the witness it builds and raises ReconstructionError on a
     # bad one; the CLI reports that as a failed verification, not a traceback
     import superstring.solver as solver_module
@@ -257,8 +254,7 @@ def test_bad_witness_from_the_solver_exit_code(monkeypatch, verify):
         return witness[::-1], offsets
 
     monkeypatch.setattr(solver_module, "_assemble", corrupted)
-    config = RunConfig(k=0, strings=["abc", "cde"], reconstruct=True, verify=verify, json_output=True)
-    code, out, err = run_capture(config)
+    code, out, err = run_capture(["--strings", "abc,cde", "--k", "0", flag, "--json"])
     assert code == 1
     assert out == ""
     lines = err.splitlines()
@@ -275,8 +271,7 @@ def test_counter_bound_exit_code(monkeypatch):
     monkeypatch.setattr(
         Counters, "bounds", staticmethod(lambda n, c: dict.fromkeys(asdict(Counters()), -1))
     )
-    config = RunConfig(k=2, strings=["ab", "cd"], json_output=True, counters=True)
-    code, out, err = run_capture(config)
+    code, out, err = run_capture(["--strings", "ab,cd", "--k", "2", "--json", "--counters"])
     assert code == 1
     assert out == ""
     assert "counter bound exceeded" in err

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from superstring import (
+    Instance,
     InstanceError,
     make_instance,
     parse_instance,
@@ -40,17 +41,28 @@ def test_parse_negative_budget():
 
 @pytest.mark.parametrize(
     "strings, k, message",
-    [((), 0, "no strings"), (("ab", "cd"), -1, "invalid budget"), (("ab", "cd"), 1.5, "invalid budget")],
+    [
+        ((), 0, "no strings"),
+        (("ab", "cd"), -1, "invalid budget"),
+        (("ab", "cd"), 1.5, "invalid budget"),
+        (("ab", 3), 1, "string 1 is not a non-empty str"),
+        (("", "ab"), 0, "string 0 is not a non-empty str"),
+        (("ab", "cd"), True, "invalid budget"),
+    ],
 )
 def test_instance_refuses_no_strings_and_a_bad_budget(strings, k, message):
     # built directly, not through make_instance, so solve never sees such an
-    # instance (it would index past an empty list)
-    from superstring import Instance
-
+    # instance (it would index past an empty list, or fail inside validate)
     with pytest.raises(InstanceError, match=message):
         Instance(strings=strings, k=k)
     with pytest.raises(InstanceError, match=message):
         make_instance(strings, k)
+
+
+def test_instance_requires_a_tuple_that_make_instance_builds():
+    with pytest.raises(InstanceError, match="not a tuple"):
+        Instance(strings=["ab", "cd"], k=1)
+    assert make_instance(["ab", "cd"], 1).strings == ("ab", "cd")
 
 
 def test_parse_preserves_order_and_crlf():
@@ -87,10 +99,9 @@ def test_validate_clean_pair():
 
 
 def test_validate_empty_string():
-    from superstring import Instance
-
-    report = validate(Instance(strings=("", "ab"), k=0))
-    assert ("empty", 0, 0) in report.violations
+    # an empty string never reaches validate: the Instance refuses it
+    with pytest.raises(InstanceError, match="string 0 is not a non-empty str"):
+        Instance(strings=("", "ab"), k=0)
 
 
 def test_validate_matches_direct_scan():
