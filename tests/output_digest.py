@@ -10,6 +10,8 @@ instance is solved with reconstruction, and gives one line,
 the first digest is over those lines, each newline-terminated, and the
 second over the same lines with ``asdict(counters)`` appended to each list.
 A change that keeps answers, witnesses and counters leaves both unchanged.
+CI pins the count, ``instances 1219``, and the outputs digest,
+``outputs 70e1b197febde8530f3d515d61587f8b3e974704d31ed384e219941a5018669b``.
 
 The set is drawn deterministically:
 
@@ -21,7 +23,14 @@ The set is drawn deterministically:
   * 400 ``generate_instance`` draws from ``random.Random(20261018)``: n in
     2..8, lengths lo..hi within 1..14, alphabet 2..4, k 0..4 and a generator
     seed below 10**9, in that order; a draw the generator cannot fill is
-    skipped.
+    skipped;
+  * 600 two-letter ``generate_instance`` draws from
+    ``random.Random(20261027)``: n in 3..6, lengths lo..hi with lo in 2..4
+    and hi in lo..6, k 1..3 and a generator seed below 10**9, in that
+    order, skipping what the generator cannot fill.  Strings this short
+    often have a string of length |m| - 2 that fits inside a mistake string
+    m at exactly one offset, and that placement decides some answers, which
+    no draw above reaches.
 
 This file is not a test module, so pytest does not collect it.
 """
@@ -43,6 +52,8 @@ import families  # noqa: E402
 POOL_STEPS = {"absorb": 3, "cli": 3, "chains": 3, "tables": 8}
 DRAWS = 400
 DRAW_SEED = 20261018
+TWO_LETTER_DRAWS = 600
+TWO_LETTER_SEED = 20261027
 
 
 def instances():
@@ -60,6 +71,17 @@ def instances():
         seed = rng.randrange(10**9)
         try:
             yield cli.generate_instance(cli.GeneratorParams(n, lo, hi, alphabet), seed, k)
+        except InstanceError:
+            continue
+    rng = random.Random(TWO_LETTER_SEED)
+    for _ in range(TWO_LETTER_DRAWS):
+        n = rng.randint(3, 6)
+        lo = rng.randint(2, 4)
+        hi = rng.randint(lo, 6)
+        k = rng.randint(1, 3)
+        seed = rng.randrange(10**9)
+        try:
+            yield cli.generate_instance(cli.GeneratorParams(n, lo, hi, 2), seed, k)
         except InstanceError:
             continue
 
