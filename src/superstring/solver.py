@@ -83,24 +83,26 @@ window the exact one would have found and keeps exactly the same shapes; a
 tighter floor only turns away windows and scans that cannot win.
 
 Absorbed shapes are searched by one placement engine per mistake string m
-(``_Placer``).  Every string short enough to fit strictly inside m is
-packed once, at each inner offset, into integers: character codes, a span
-mask and a mask of its disagreements with m; a placement that alone
-disagrees with m beyond the budget is dropped.  Anchor windows for a pair
-(l?, r?) are built lazily in ascending (length, start) order and kept only
-while the scans stay on that pair; each window carries the cover its
-anchors fix.  Covers are kept per m, across anchor pairs, each with a memo
-of the interior sets asked about, so the composition loop, which enumerates
-only interior sets drawn from the strings that fit, pays for each distinct
-question once.  A cover's options for a string, the placements that agree
-with it within budget, are filtered only when a question about a set
-holding that string asks for them, member by member in index order, up to
-the first member with none; most questions end there, so most options are
-never built.  Whether a set fits under a cover is a bitwise depth-first
-search that places the strings with the fewest options first, ties by index
-(fail-first); the answer does not depend on the order.  Reconstruction asks
-the same engine for the winning offsets, placing the strings in index
-order.
+(``_Placer``).  Every string short enough to fit strictly inside m is packed
+once into integers, character codes and a span mask, and shifted to each
+inner offset.  One fold (``_Placer._differ``) turns codes into a mask of
+disagreements with m, for a placement and for a cover alike; a placement
+that alone disagrees with m beyond the budget is dropped.  Anchor windows
+for a pair (l?, r?) are built lazily in ascending (length, start) order and
+kept only while the scans stay on that pair; each window carries the cover
+its anchors fix, read from one overlay of l and r per window length, an
+absent anchor being the empty string.  Covers are kept per m, across anchor
+pairs, each with a memo of the interior sets asked about, so the composition
+loop, which enumerates only interior sets drawn from the strings that fit,
+pays for each distinct question once.  A cover's options for a string, the
+placements that agree with it within budget, are filtered only when a
+question about a set holding that string asks for them, member by member in
+index order, up to the first member with none; most questions end there, so
+most options are never built.  Whether a set fits under a cover is a bitwise
+depth-first search that places the strings with the fewest options first,
+ties by index (fail-first); the answer does not depend on the order.
+Reconstruction asks the same engine for the winning offsets, placing the
+strings in index order.
 
 The bare cover, the one with nothing fixed and no budget spent, is the
 relaxation bound of branch and bound.  An anchor window's cover only fixes
@@ -210,12 +212,13 @@ def _bits(mask: int, n: int) -> list[int]:
     return [i for i in range(n) if mask & (1 << i)]
 
 
-def _pack(s: str, at: int, code: dict[str, int], width: int) -> int:
-    """Character codes of s, one `width`-bit field per position, from field `at` on."""
+def _pack(s: str, code: dict[str, int], width: int) -> tuple[int, int]:
+    """(codes, span) of s: its character codes, one `width`-bit field per
+    position from field 0 on, and the mask of those fields."""
     value = 0
     for t, ch in enumerate(s):
-        value |= code[ch] << ((at + t) * width)
-    return value
+        value |= code[ch] << (t * width)
+    return value, (1 << (len(s) * width)) - 1
 
 
 def _search(options, order, i, value, covered, cost, k, counters):
@@ -254,19 +257,21 @@ class _Placer:
     a mask with the low bit of every field where the cover disagrees with m,
     so cost.bit_count() is the budget already spent.
 
-    Every string e in `fits` is packed once, at each offset strictly inside
-    m, as (offset, value, span, diff): its codes, its field mask and the low
-    bits of the positions where it differs from m.
+    Every string e in `fits` is packed once and shifted to each offset
+    strictly inside m, as (offset, value, span, diff): its codes, its field
+    mask and the low bits of the positions where it differs from m, from the
+    fold that also prices a cover (`_differ`).
 
     Anchor windows come in the order the candidates are compared in:
     ascending (length, start), keeping those whose anchors cost at most k.
     They are built one length at a time, only as far as a cutoff asks, and
     kept only while the scans stay on one anchor pair (l, r), -1 meaning
-    absent.  Each window holds the cover its anchors fix.  Covers live as
-    long as the placer, across anchor pairs: each holds the answers to the
-    interior sets asked, since whether a set fits depends only on the cover,
-    and, per string, the placements that agree with it within budget, its
-    options, filtered the first time a question asks for them (`_order`).
+    absent, which is laid as the empty string.  Each window holds the cover
+    its anchors fix, read from one overlay of l and r per length.  Covers
+    live as long as the placer, across anchor pairs: each holds the answers
+    to the interior sets asked, since whether a set fits depends only on the
+    cover, and, per string, the placements that agree with it within budget,
+    its options, filtered the first time a question asks for them (`holds`).
     The bare cover, with nothing fixed, is built first; `fitting_sets` lists
     the sets that fit under it, the only sets a window is asked for, and it
     is also the cover of the window with no anchors.
@@ -283,22 +288,15 @@ class _Placer:
         self.counters = counters
         m_str = strings[m]
         self.len_m = len_m = len(m_str)
-        self.m_value = _pack(m_str, 0, self.code, width)
+        self.m_value = _pack(m_str, self.code, width)[0]
         self.full = (1 << (len_m * width)) - 1
         self.low = sum(1 << (p * width) for p in range(len_m))
         self.placements: list[tuple] = [()] * instance.n
         for e in _bits(fits, instance.n):
-            s = strings[e]
-            span = (1 << (len(s) * width)) - 1
-            packed = (
-                (
-                    offset,
-                    _pack(s, offset, self.code, width),
-                    span << (offset * width),
-                    sum(1 << ((offset + t) * width) for t, ch in enumerate(s) if ch != m_str[offset + t]),
-                )
-                for offset in range(1, len_m - len(s))
-            )
+            value, span = _pack(strings[e], self.code, width)
+            offsets = range(1, len_m - len(strings[e]))
+            shifted = ((at, value << (at * width), span << (at * width)) for at in offsets)
+            packed = [(at, v, v_span, self._differ(v, v_span)) for at, v, v_span in shifted]
             # a placement that alone disagrees with m beyond budget never fits
             self.placements[e] = tuple(p for p in packed if p[3].bit_count() <= self.k)
         self.covers: dict[tuple[int, int], tuple | None] = {}
@@ -308,12 +306,11 @@ class _Placer:
 
     def _use_anchors(self, l, r):
         self.anchors = (l, r)
-        strings, code, width = self.strings, self.code, self.width
-        len_m = self.len_m
-        self.len_l = len_l = len(strings[l]) if l >= 0 else 0
-        self.len_r = len_r = len(strings[r]) if r >= 0 else 0
-        self.l_value = _pack(strings[l], 0, code, width) if l >= 0 else 0
-        self.r_value = _pack(strings[r], 0, code, width) if r >= 0 else 0
+        # an absent anchor is the empty string
+        l_str, r_str = (self.strings[a] if a >= 0 else "" for a in (l, r))
+        len_l, len_m, len_r = len(l_str), self.len_m, len(r_str)
+        self.len_r = len_r
+        self.l_packed, self.r_packed = (_pack(a, self.code, self.width) for a in (l_str, r_str))
         low = max(len_l, len_m, len_r)
         # below |l|+|r| the anchors overlap, and only the lengths where they
         # agree hold a window; with an anchor absent every length is at least |l|+|r|
@@ -323,91 +320,85 @@ class _Placer:
         self.groups: list[list[tuple]] = []
 
     def _group(self, length):
-        """(start, cover) of every window of one length whose anchors fit the budget."""
-        len_l, len_r = self.len_l, self.len_r
+        """(start, cover) of every window of one length whose anchors fit the budget.
+
+        The anchors are overlaid once per length, l from field 0 and r from
+        field length - |r|, and the window whose m starts at `start` reads
+        the overlay's fields start..start + |m| - 1 as its cover.
+        """
         width, full = self.width, self.full
-        l_span = (1 << (len_l * width)) - 1
-        r_span = (1 << (len_r * width)) - 1
+        (l_value, l_span), (r_value, r_span) = self.l_packed, self.r_packed
+        shift = (length - self.len_r) * width
+        overlay, spans = l_value | r_value << shift, l_span | r_span << shift
         windows = []
         for start in range(length - self.len_m + 1):
-            value = (self.l_value >> (start * width)) & full
-            covered = (l_span >> (start * width)) & full
-            shift = (length - len_r - start) * width  # r's first field, in m positions
-            if shift >= 0:
-                value |= (self.r_value << shift) & full
-                covered |= (r_span << shift) & full
-            else:
-                value |= (self.r_value >> -shift) & full
-                covered |= (r_span >> -shift) & full
-            key = (value, covered)
+            key = ((overlay >> (start * width)) & full, (spans >> (start * width)) & full)
             if key not in self.covers:
-                self.covers[key] = self._cover(value, covered)
+                self.covers[key] = self._cover(*key)
             if self.covers[key] is not None:
                 windows.append((start, self.covers[key]))
         return windows
 
-    def _cover(self, value, covered):
-        """A cover's [value, covered, cost, options, unfit, memo], or None over budget.
+    def _differ(self, value, covered):
+        """The low bit of every covered field where `value` disagrees with m.
 
-        No placement is filtered here: `options[e]` stays None until a
-        question about a set holding e asks for it (``_order``).  `unfit`
-        is the mask of the strings found to have no placement under the
-        cover, and `memo` maps interior masks to whether they fit under it.
+        Each field's bits are folded onto its low bit, so a field counts
+        once however many of its bits differ.
         """
         differ = (value ^ self.m_value) & covered
         folded = differ
         for bit in range(1, self.width):
             folded |= differ >> bit
-        cost = folded & self.low
+        return folded & self.low
+
+    def _cover(self, value, covered):
+        """A cover's [value, covered, cost, options, unfit, memo], or None over budget.
+
+        No placement is filtered here: `options[e]` stays None until a
+        question about a set holding e asks for it (``holds``).  `unfit`
+        is the mask of the strings found to have no placement under the
+        cover, and `memo` maps interior masks to whether they fit under it.
+        """
+        cost = self._differ(value, covered)
         if cost.bit_count() > self.k:
             return None
         return [value, covered, cost, [None] * len(self.placements), 0, {}]
-
-    def _order(self, cover, interior_mask):
-        """interior_mask's strings by number of options under a cover, fewest first, ties by index.
-
-        The options of each string, the placements that agree with the cover
-        within budget, are filtered the first time a question asks for them,
-        in index order.  At the first string with none the set cannot fit:
-        that string joins the cover's unfit mask and the answer is None.
-        """
-        value, covered, cost, options = cover[:4]
-        k = self.k
-        members = _bits(interior_mask, len(options))
-        for e in members:
-            if options[e] is None:
-                # lists, not tuples: many short-lived tuples of assorted sizes
-                # would stay parked in the interpreter's tuple free lists and
-                # raise peak RSS
-                options[e] = [
-                    p
-                    for p in self.placements[e]
-                    if not (p[1] ^ value) & p[2] & covered and (cost | p[3]).bit_count() <= k
-                ]
-            if not options[e]:
-                cover[4] |= 1 << e
-                return None
-        return sorted(members, key=lambda e: len(options[e]))
 
     def holds(self, cover, interior_mask):
         """Whether every string of interior_mask fits under a cover at once, memoised in it.
 
         A set holding a string already found unfit is turned away at once.
-        Otherwise the options of the set's strings are asked for (``_order``)
-        and, if each has some, a depth-first search places the strings with
-        the fewest options first (fail-first).
+        Otherwise each member's options, the placements that agree with the
+        cover within budget, are filtered the first time a question asks for
+        them, in index order.  At the first member with none the set cannot
+        fit, and that string joins the cover's unfit mask.  If each has
+        some, a depth-first search places the strings with the fewest
+        options first, ties by index (fail-first).
         """
         value, covered, cost, options, unfit, memo = cover
         if interior_mask & unfit:
             return False
         hit = memo.get(interior_mask)
         if hit is None:
+            k = self.k
+            members = _bits(interior_mask, len(options))
+            for e in members:
+                if options[e] is None:
+                    # lists, not tuples: many short-lived tuples of assorted
+                    # sizes would stay parked in the interpreter's tuple free
+                    # lists and raise peak RSS
+                    options[e] = [
+                        p
+                        for p in self.placements[e]
+                        if not (p[1] ^ value) & p[2] & covered and (cost | p[3]).bit_count() <= k
+                    ]
+                if not options[e]:
+                    cover[4] |= 1 << e
+                    return False
             # whether a set fits does not depend on the order it is placed
             # in; fewest options first fails soonest
-            order = self._order(cover, interior_mask)
-            if order is None:
-                return False
-            found = _search(options, order, 0, value, covered, cost, self.k, self.counters)
+            members.sort(key=lambda e: len(options[e]))
+            found = _search(options, members, 0, value, covered, cost, k, self.counters)
             hit = memo[interior_mask] = found is not None
         return hit
 

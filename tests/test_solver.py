@@ -217,12 +217,12 @@ def test_length_invariant_under_mirroring():
         assert solve(mirrored).length == solve(inst).length
 
 
-def _absorb_shaped(rng, n):
-    """n strings over "abc": one of length 12-16, then distinct ones of
+def _absorb_shaped(rng, n, letters="abc"):
+    """n strings over `letters`: one of length 12-16, then distinct ones of
     3-5 that neither contain nor lie in another, so they fit inside it."""
-    strings = ["".join(rng.choice("abc") for _ in range(rng.randint(12, 16)))]
+    strings = ["".join(rng.choice(letters) for _ in range(rng.randint(12, 16)))]
     while len(strings) < n:
-        candidate = "".join(rng.choice("abc") for _ in range(rng.randint(3, 5)))
+        candidate = "".join(rng.choice(letters) for _ in range(rng.randint(3, 5)))
         if not any(candidate in s or s in candidate for s in strings):
             strings.append(candidate)
     return strings
@@ -513,7 +513,7 @@ def test_glue_and_window_never_shrink_as_sets_grow():
                 # options are filtered on demand: ask for every string's, so
                 # the cover knows which strings fit under it alone
                 for e in _bits(fits, n):
-                    placer._order(cover, 1 << e)
+                    placer.holds(cover, 1 << e)
                 value, covered, cost, options, unfit, _ = cover
                 fitting = sum(1 << e for e in _bits(fits, n) if options[e])
                 assert unfit == fits & ~fitting, (inst.strings, m, value, covered)
@@ -522,14 +522,13 @@ def test_glue_and_window_never_shrink_as_sets_grow():
                     if not interior:
                         continue
                     ranked = [e for e in rank if interior >> e & 1]
-                    order = placer._order(cover, interior)
-                    assert order == ranked, (inst.strings, m, value, covered, interior)
                     by_index = _bits(interior, n)
                     fit = [
                         _search(options, order, 0, value, covered, cost, inst.k, Counters()) is not None
                         for order in (ranked, by_index)
                     ]
                     assert fit[0] == fit[1], (inst.strings, m, value, covered, interior)
+                    assert placer.holds(cover, interior) == fit[1], (inst.strings, m, value, covered, interior)
                     searches += 1
                     if fit[0] and cover is not placer.bare:
                         assert placer.holds(placer.bare, interior), (inst.strings, m, value, covered, interior)
@@ -716,6 +715,91 @@ def _fits_inside(inst, m):
     """The strings short enough to fit strictly inside string m, as the solver draws them."""
     lengths = [len(s) for s in inst.strings]
     return sum(1 << e for e in range(inst.n) if e != m and lengths[e] <= lengths[m] - 2)
+
+
+def _decode(placer, value, covered):
+    """{position in m: character} of the fields a packed value covers."""
+    letters = {code: ch for ch, code in placer.code.items()}
+    mask = (1 << placer.width) - 1
+    assert not value & ~covered, (value, covered)
+    return {
+        p: letters[value >> (p * placer.width) & mask]
+        for p in range(placer.len_m)
+        if covered >> (p * placer.width) & mask
+    }
+
+
+def _low_bits(placer, positions):
+    return sum(1 << (p * placer.width) for p in positions)
+
+
+def test_placer_packing_reads_back_as_characters():
+    # the placer's integers, read back field by field: each placement is
+    # its string at its offset, with the positions where it differs from m,
+    # and each window's cover is l laid at 0 and r at length - |r|, read at
+    # m's positions, present iff it disagrees with m at most k times
+    rng = random.Random(20261027)
+    instances = []
+    for draw in range(24):
+        letters = "abcd"[: 2 + draw % 3]
+        if draw % 2:
+            instances.append(make_instance(_absorb_shaped(rng, 7, letters), 1 + draw % 4))
+            continue
+        try:
+            params = GeneratorParams(6, 3, 10, len(letters))
+            instances.append(generate_instance(params, rng.randrange(10**9), 1 + draw % 4))
+        except InstanceError:  # too few strings over two letters free of containment
+            continue
+    placements = windows = dropped = 0
+    for inst in instances:
+        tables = _solve_tables(inst, Counters())
+        for m in range(inst.n):
+            fits = _fits_inside(inst, m)
+            if not fits:
+                continue
+            placer = _Placer(inst, tables.mismatch, m, fits, Counters())
+            m_str = inst.strings[m]
+            for e in _bits(fits, inst.n):
+                s = inst.strings[e]
+                kept = []
+                for offset in range(1, len(m_str) - len(s)):
+                    differs = [offset + t for t, ch in enumerate(s) if ch != m_str[offset + t]]
+                    if len(differs) <= inst.k:
+                        kept.append((offset, differs))
+                assert [p[0] for p in placer.placements[e]] == [offset for offset, _ in kept], (inst.strings, m, e)
+                for (offset, value, span, diff), (_, differs) in zip(placer.placements[e], kept):
+                    laid = {offset + t: ch for t, ch in enumerate(s)}
+                    assert _decode(placer, value, span) == laid, (inst.strings, m, e, offset)
+                    assert diff == _low_bits(placer, differs), (inst.strings, m, e, offset)
+                    placements += 1
+            others = [a for a in range(-1, inst.n) if a != m]
+            for l in others:
+                for r in others:
+                    if l == r >= 0:
+                        continue
+                    l_str, r_str = (inst.strings[a] if a >= 0 else "" for a in (l, r))
+                    placer._use_anchors(l, r)
+                    for length in placer.lengths:
+                        laid = {t: ch for t, ch in enumerate(l_str)}
+                        for t, ch in enumerate(r_str):
+                            # overlapping anchors hold a window only where they agree
+                            assert laid.setdefault(length - len(r_str) + t, ch) == ch, (inst.strings, l, r, length)
+                        expected = []
+                        for start in range(length - len(m_str) + 1):
+                            cover = {p: laid[start + p] for p in range(len(m_str)) if start + p in laid}
+                            differs = [p for p, ch in cover.items() if ch != m_str[p]]
+                            if len(differs) > inst.k:
+                                dropped += 1
+                                continue
+                            expected.append((start, cover, _low_bits(placer, differs)))
+                        got = placer._group(length)
+                        assert [w[0] for w in got] == [w[0] for w in expected], (inst.strings, m, l, r, length)
+                        for (start, (value, covered, cost, *_)), (_, cover, low) in zip(got, expected):
+                            assert _decode(placer, value, covered) == cover, (inst.strings, m, l, r, length, start)
+                            assert cost == low, (inst.strings, m, l, r, length, start)
+                            windows += 1
+    print(f"packing: {placements} placements, {windows} windows, {dropped} over budget")
+    assert placements > 300 and windows > 30_000 and dropped > 30_000, (placements, windows, dropped)
 
 
 def test_fitting_sets_are_every_set_that_fits_with_nothing_fixed():
