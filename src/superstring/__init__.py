@@ -13,7 +13,6 @@ from .instance import (
     Instance,
     InstanceError,
     InvalidInstanceError,
-    ValidationReport,
     make_instance,
     parse_instance,
     serialize_instance,
@@ -40,7 +39,6 @@ __all__ = [
     "ReconstructionError",
     "Solution",
     "SubsetTable",
-    "ValidationReport",
     "brute_force_min_length",
     "brute_force_scs",
     "build_mismatch_table",

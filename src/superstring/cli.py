@@ -122,9 +122,9 @@ def run(config: argparse.Namespace, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return 2
 
-    report = validate(instance)
-    if not report.ok:
-        for _, a, b in report.violations:
+    violations = validate(instance)
+    if violations:
+        for a, b in violations:
             print(
                 f"error: substring violation: strings[{a}]={instance.strings[a]!r} "
                 f"occurs in strings[{b}]={instance.strings[b]!r}",

@@ -15,7 +15,7 @@ compared exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # The subset tables downstream grow as n * 2^n entries, so refuse instances
 # that would silently allocate gigabytes.
@@ -27,11 +27,11 @@ class InstanceError(ValueError):
 
 
 class InvalidInstanceError(InstanceError):
-    """An instance failed validation; carries the offending report."""
+    """An instance failed validation; `violations` holds what :func:`validate` found."""
 
-    def __init__(self, report: "ValidationReport"):
-        super().__init__(f"invalid instance: {report.violations}")
-        self.report = report
+    def __init__(self, violations: list[tuple[int, int]]):
+        super().__init__(f"invalid instance: {violations}")
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,6 @@ class Instance:
         return sum(len(s) for s in self.strings)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of :func:`validate`: empty ``violations`` means valid.
-
-    Each violation is a ``("substring", index_a, index_b)`` triple:
-    strings[index_a] occurs inside strings[index_b], and equal strings are
-    reported this way too.  The kind is always ``substring``; it is kept so
-    that :class:`InvalidInstanceError` messages and existing callers do not
-    change.
-    """
-
-    violations: list[tuple[str, int, int]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def make_instance(strings, k: int, *, max_strings: int = DEFAULT_MAX_STRINGS) -> Instance:
     """Build an Instance from an iterable of strings, checking the cap on their number.
 
@@ -126,17 +108,12 @@ def serialize_instance(instance: Instance) -> str:
     return "".join(s + "\n" for s in instance.strings)
 
 
-def validate(instance: Instance) -> ValidationReport:
-    """Report every containment violation in the instance.
+def validate(instance: Instance) -> list[tuple[int, int]]:
+    """Every pair (a, b) with strings[a] inside strings[b], a != b; empty means valid.
 
-    A direct substring scan is run for every ordered pair; equal strings show
-    up as substring violations in both directions.  No string is empty (the
+    A direct substring scan is run for every ordered pair, in index order;
+    equal strings give a pair in both directions.  No string is empty (the
     Instance refused it), so none is trivially contained.
     """
-    report = ValidationReport()
     strings = instance.strings
-    for a, sa in enumerate(strings):
-        for b, sb in enumerate(strings):
-            if a != b and sa in sb:
-                report.violations.append(("substring", a, b))
-    return report
+    return [(a, b) for a, sa in enumerate(strings) for b, sb in enumerate(strings) if a != b and sa in sb]

@@ -626,9 +626,9 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
 
 def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
     """Minimal containing-string length for the instance, optionally with witness."""
-    report = validate(instance)
-    if not report.ok:
-        raise InvalidInstanceError(report)
+    violations = validate(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
 
     counters = Counters()
     n = instance.n

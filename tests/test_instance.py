@@ -80,22 +80,15 @@ def test_too_many_strings_guard():
 
 
 def test_validate_substring_pair():
-    report = validate(make_instance(["ab", "abc"], 0))
-    assert ("substring", 0, 1) in report.violations
-    assert not report.ok
+    assert validate(make_instance(["ab", "abc"], 0)) == [(0, 1)]
 
 
 def test_validate_equal_strings_reported_as_substring():
-    report = validate(make_instance(["ab", "ab"], 0))
-    kinds = {v[0] for v in report.violations}
-    assert kinds == {"substring"}
-    assert not report.ok
+    assert validate(make_instance(["ab", "ab"], 0)) == [(0, 1), (1, 0)]
 
 
 def test_validate_clean_pair():
-    report = validate(make_instance(["ab", "ba"], 0))
-    assert report.ok
-    assert report.violations == []
+    assert validate(make_instance(["ab", "ba"], 0)) == []
 
 
 def test_validate_empty_string():
@@ -107,14 +100,13 @@ def test_validate_empty_string():
 def test_validate_matches_direct_scan():
     strings = ["aba", "ab", "ba", "bab", "abab"]
     inst = make_instance(strings, 0)
-    report = validate(inst)
     expected = {
-        ("substring", a, b)
+        (a, b)
         for a in range(len(strings))
         for b in range(len(strings))
         if a != b and strings[a] in strings[b]
     }
-    assert set(report.violations) == expected
+    assert set(validate(inst)) == expected
 
 
 @given(

@@ -66,8 +66,9 @@ def test_three_chain_strings():
 
 
 def test_invalid_instance_rejected():
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(InvalidInstanceError) as raised:
         solve(make_instance(["ab", "abc"], 0))
+    assert raised.value.violations == [(0, 1)]
 
 
 def test_reconstruct_two_disjoint():
