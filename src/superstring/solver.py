@@ -288,17 +288,16 @@ class _Placer:
         self.counters = counters
         m_str = strings[m]
         self.len_m = len_m = len(m_str)
-        self.m_value = _pack(m_str, self.code, width)[0]
-        self.full = (1 << (len_m * width)) - 1
+        self.m_value, self.full = _pack(m_str, self.code, width)
         self.low = sum(1 << (p * width) for p in range(len_m))
         self.placements: list[tuple] = [()] * instance.n
         for e in _bits(fits, instance.n):
             value, span = _pack(strings[e], self.code, width)
             offsets = range(1, len_m - len(strings[e]))
-            shifted = ((at, value << (at * width), span << (at * width)) for at in offsets)
-            packed = [(at, v, v_span, self._differ(v, v_span)) for at, v, v_span in shifted]
+            placed = ((at, v, v_span, self._differ(v, v_span)) for at in offsets
+                      for v, v_span in [(value << (at * width), span << (at * width))])
             # a placement that alone disagrees with m beyond budget never fits
-            self.placements[e] = tuple(p for p in packed if p[3].bit_count() <= self.k)
+            self.placements[e] = tuple(p for p in placed if p[3].bit_count() <= self.k)
         self.covers: dict[tuple[int, int], tuple | None] = {}
         # nothing fixed: a set that does not fit here fits under no window
         self.bare = self.covers[0, 0] = self._cover(0, 0)

@@ -7,14 +7,16 @@ Run from the repository root:
 
 Each mutant is a record of five fields: the module it edits, the exact text
 it replaces, its replacement, the bug class it stands for, and its detector.
-The script copies ``src``, ``tests`` and ``bench`` to a temporary directory,
-runs the outputs digest there once unmutated for reference, then applies one
-mutant at a time to the copy and runs its detector:
+The script copies ``src``, ``tests``, ``bench`` and ``pyproject.toml`` to a
+temporary directory, runs the outputs digest there once unmutated for
+reference, then applies one mutant at a time to the copy and runs its
+detector:
 
   * ``DIGEST``: ``tests/output_digest.py``, which kills the mutant when it
     exits nonzero or prints a count or outputs digest other than the
     unmutated copy's (CI pins those);
-  * otherwise a pytest node id, which kills the mutant when it fails.
+  * otherwise a pytest node id, which kills the mutant when it fails; it is
+    used only for a mutant the digest misses.
 
 The replaced text must occur exactly once in its module, so a refactor that
 moves or rewrites a mutated line fails here, and the mutant is restated in
@@ -167,6 +169,14 @@ MUTANTS = [
         "placements lose their last inner offset",
         DIGEST,
     ),
+    Mutant(
+        SOLVER,
+        "members.sort(key=lambda e: len(options[e]))",
+        "members.sort(key=lambda e: -len(options[e]))",
+        "interior search ranks the most placed string first, not the fewest",
+        # answers do not change, so only the golden window_scan counts show it
+        "tests/test_golden.py::test_golden_outputs_are_unchanged",
+    ),
 ]
 
 
@@ -201,6 +211,8 @@ def main() -> int:
         root = Path(tmp)
         for name in ("src", "tests", "bench"):
             shutil.copytree(ROOT / name, root / name, ignore=ignore)
+        # the pytest detectors run under the repository's pytest settings
+        shutil.copy(ROOT / "pyproject.toml", root)
         reference = _digest(root)
         if reference is None:
             print("the unmutated copy's digest failed")
