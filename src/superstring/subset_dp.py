@@ -164,19 +164,32 @@ def _chain_dp(
     units = [(ones, ones << top) for ones in (from_bytes(array(code, [1]) * (1 << j), order) for j in range(n))]
 
     bits = min(_ROW_BITS, n)
-    # low bits of a mask -> (2^j, |s_j|, column j, [(column p, overlap(p, j))])
-    # for its members j < bits
+    # column j < bits -> min over its predecessors p >= bits in a row of
+    # dp[p][row] - overlap(p, j), folded in by the slices
+    acc = [array(code, [never]) * (1 << n) for _ in range(bits)]
+    acc_bytes = [memoryview(column).cast("B") for column in acc]
+    # slice column p -> [(acc[j] bytes, overlap(p, j))] for its successors j < bits
+    folds = [[(acc_bytes[j], gain) for j, gain in enumerate(overlaps[p][:bits]) if j != p and gain > 0] for p in range(n)]
+    # low bits of a mask -> (2^j, |s_j|, column j, acc[j],
+    # [(column p, overlap(p, j)) for p < bits]) for its members j < bits
     members = [
-        [(1 << j, lengths[j], dp[j], [(dp[p], gain) for p, gain in gains[j]]) for j in range(bits) if low >> j & 1]
+        [
+            (1 << j, lengths[j], dp[j], acc[j], [(dp[p], gain) for p, gain in gains[j] if p < bits])
+            for j in range(bits)
+            if low >> j & 1
+        ]
         for low in range(1 << bits)
     ]
     for start in range(0, 1 << n, 1 << bits):
         for low, steps in enumerate(members):
             mask = start | low
             row_best = row_min[mask]
-            for bit, length, column, preds in steps:
+            for bit, length, column, high, preds in steps:
                 rest = mask ^ bit
                 best = row_min[rest]
+                value = high[rest]
+                if value < best:
+                    best = value
                 for prev, gain in preds:
                     value = prev[rest] - gain
                     if value < best:
@@ -208,6 +221,12 @@ def _chain_dp(
             take = (((have | guard) - best) & guard) >> top
             have ^= (have ^ best) & take * field
             mins_bytes[mid:hi] = have.to_bytes(size, order)
+        for high, gain in folds[j]:
+            term = best - gain * ones
+            have = from_bytes(high[mid:hi], order)
+            take = (((have | guard) - term) & guard) >> top
+            have ^= (have ^ term) & take * field
+            high[mid:hi] = have.to_bytes(size, order)
     return dp
 
 

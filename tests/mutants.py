@@ -55,6 +55,7 @@ class Mutant(NamedTuple):
 SOLVER = "src/superstring/solver.py"
 CORES = "src/superstring/cores.py"
 MISMATCHES = "src/superstring/mismatches.py"
+SUBSET_DP = "src/superstring/subset_dp.py"
 
 MUTANTS = [
     Mutant(
@@ -176,6 +177,27 @@ MUTANTS = [
         "interior search ranks the most placed string first, not the fewest",
         # answers do not change, so only the golden window_scan counts show it
         "tests/test_golden.py::test_golden_outputs_are_unchanged",
+    ),
+    Mutant(
+        SUBSET_DP,
+        "term = from_bytes(bytes_of[p][lo:mid], order) - gain * ones",
+        "term = from_bytes(bytes_of[p][lo:mid], order)",
+        "word-parallel slice step without its overlap gain",
+        DIGEST,
+    ),
+    Mutant(
+        SUBSET_DP,
+        "term = best - gain * ones",
+        "term = best - (gain + 1) * ones",
+        "high-predecessor fold with its gain one too large",
+        DIGEST,
+    ),
+    Mutant(
+        SUBSET_DP,
+        "value = high[rest]",
+        "value = row_min[rest]",
+        "scalar step that ignores its column's folded high-predecessor terms",
+        DIGEST,
     ),
 ]
 

@@ -237,10 +237,11 @@ def assert_tables_equal_the_plain_ones(inst):
 
 def test_row_minimum_recurrence_equals_the_plain_one():
     # binary mixed lengths: most ordered pairs overlap; the chains shape
-    # (length 5, alphabet 4): most do not, so the row minimum decides often
+    # (length 5, alphabet 4): most do not, so the row minimum decides often;
+    # the chains shape alone up to the bench's n = 13 less one
     zero = positive = 0
-    for n in range(6, 11):
-        for params in (GeneratorParams(n, 3, 9, 2), GeneratorParams(n, 5, 5, 4)):
+    for n in range(6, 13):
+        for params in (GeneratorParams(n, 3, 9, 2), GeneratorParams(n, 5, 5, 4))[n > 10 :]:
             for seed in (4600 + 10 * n, 4605 + 10 * n):
                 inst = generated(params, seed, n % 3)
                 assert_tables_equal_the_plain_ones(inst)
@@ -262,6 +263,51 @@ def test_both_fill_paths_equal_the_plain_recurrence(monkeypatch, row_bits):
     for n in range(1, 11):
         for params in (GeneratorParams(n, 1, 7, 2), GeneratorParams(n, 3, 8, 3)):
             assert_tables_equal_the_plain_ones(generated(params, 4800 + 10 * n, n % 3))
+
+
+def high_neighbour_instance(body):
+    """Eight strings of distinct letter runs of length `body`, joined by
+    edge letters so that string 0 overlaps only strings 4-7: these end in
+    its prefix "XY" (gain 1 or 2) and start with its last letter "V".
+    Strings 1-3 overlap one another and strings 4-7, never string 0."""
+    runs = [letter * body for letter in "abcdefgh"]
+    return make_instance(
+        [
+            "XY" + runs[0] + "V",
+            "Z" + runs[1] + "W",
+            "W" + runs[2] + "Z",
+            "W" + runs[3] + "V",
+            "V" + runs[4] + "X",
+            "V" + runs[5] + "XY",
+            "V" + runs[6] + "X",
+            "V" + runs[7] + "XY",
+        ],
+        0,
+    )
+
+
+@pytest.mark.parametrize("body, typecode", [(3, "H"), (4200, "I")])
+@pytest.mark.parametrize("row_bits", [4, 5])
+def test_high_predecessors_alone_decide_a_scalar_column(monkeypatch, row_bits, body, typecode):
+    # column 0 is filled entry by entry, and its only neighbours with a
+    # positive overlap, in either table, are strings 4-7: those terms reach
+    # each entry through the slices' fold alone, and on some entries they
+    # beat the row minimum
+    monkeypatch.setattr(subset_dp, "_ROW_BITS", row_bits)
+    inst = high_neighbour_instance(body)
+    overlap = direct_overlaps(inst)
+    for p in range(1, 8):
+        assert (overlap[p][0] > 0) == (overlap[0][p] > 0) == (p >= 4)
+    table = assert_tables_equal_the_plain_ones(inst)
+    assert table.row_min.typecode == typecode
+    for dp, gain in ((table.dp_right, overlap), (table.dp_left, list(zip(*overlap)))):
+        decided = [
+            mask
+            for mask in range(3, 256, 2)
+            if dp[0][mask] < len(inst.strings[0]) + table.row_min[mask ^ 1]
+        ]
+        assert len(decided) > 16
+        assert all(mask & 0xF0 for mask in decided)
 
 
 def test_wide_fields_equal_the_plain_recurrence():
