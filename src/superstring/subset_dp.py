@@ -35,7 +35,8 @@ every entry plus one more string, lies below it.  Row minima are an array of
 the same typecode.
 
 Word-parallel fill.  Rows are filled in chunks of 2^4 (``_ROW_BITS``).  In
-a chunk, the members j < 4 of each row are filled entry by entry.  After a
+a chunk, the members j < 4 of each row are filled entry by entry, from the
+predecessors p < 4 alone (the scalar step below).  After a
 chunk that ends at row ``end``, with j the lowest set bit of ``end``, column
 j over rows [end, end + 2^j) is the one slice that has just become ready: its
 rest rows are [end - 2^j, end), all complete.  That slice is computed as one
@@ -61,6 +62,19 @@ of its columns j >= 4, and the chunk finishes it with its entries j < 4.
 Every column j >= 4 of a row comes from a slice that starts at or below the
 row's chunk, so it is written before that chunk is filled, and a slice reads
 only rows below its own, all finished.
+
+The scalar step.  Each column j < 4 has an accumulator ``acc[j]`` of 2^n
+fields, all the sentinel at first.  Once the slice of a column p >= 4 is
+written, ``best - overlap(p, j)`` is folded by the same minimum into
+``acc[j]`` over the slice's rows, for every j < 4 with a positive
+overlap(p, j); every row of the slice holds p, so every folded field is a
+real term.  An entry j < 4 of a row is then |s_j| plus the least of
+``row_min[rest]``, ``acc[j][rest]`` and the terms of its predecessors p < 4.
+rest lies in the entry's own chunk, so, by the argument above, every slice
+of rest has been written and folded by then: ``acc[j][rest]`` is the least
+term over all predecessors p >= 4.  A column that no string p >= 4
+overlaps does not read its accumulator, which stays the sentinel.
+``dp_left`` folds the transposed overlaps the same way.
 """
 
 from __future__ import annotations
@@ -137,9 +151,12 @@ def _chain_dp(
     """``dp[j][mask]``: min over p of ``dp[p][mask - j] + |s_j| - overlaps[p][j]``.
 
     Columns j < _ROW_BITS are filled entry by entry, each from the minimum
-    of row ``rest = mask - j`` and the predecessors of j with a positive
-    overlap, whose sentinel entries outside rest never win; the others a
-    slice at a time (the module docstring says why both are exact).
+    of row ``rest = mask - j``, of its accumulator ``acc[j][rest]`` and of
+    the predecessors p < _ROW_BITS of j with a positive overlap, whose
+    sentinel entries outside rest never win; the others a slice at a time,
+    each slice also folding its terms for the columns j < _ROW_BITS it
+    overlaps into their accumulators (the module docstring says why both
+    are exact).
     ``row_min`` has 2^n entries, the sentinel but the empty row's 0, and
     receives each row's minimum as the row is filled; the empty row stays 0,
     so a singleton gets |s_j|.  As the minima are the same in both tables,
@@ -170,26 +187,23 @@ def _chain_dp(
     acc_bytes = [memoryview(column).cast("B") for column in acc]
     # slice column p -> [(acc[j] bytes, overlap(p, j))] for its successors j < bits
     folds = [[(acc_bytes[j], gain) for j, gain in enumerate(overlaps[p][:bits]) if j != p and gain > 0] for p in range(n)]
-    # low bits of a mask -> (2^j, |s_j|, column j, acc[j],
-    # [(column p, overlap(p, j)) for p < bits]) for its members j < bits
+    # column j < bits -> what its entries read: acc[j] with gain 0 in place
+    # of every predecessor p >= bits, then (column p, overlap(p, j)) for p < bits
+    reads = [
+        [(acc[j], 0)] * any(p >= bits for p, _ in gains[j]) + [(dp[p], gain) for p, gain in gains[j] if p < bits]
+        for j in range(bits)
+    ]
+    # low bits of a mask -> (2^j, |s_j|, column j, reads[j]) for its members j < bits
     members = [
-        [
-            (1 << j, lengths[j], dp[j], acc[j], [(dp[p], gain) for p, gain in gains[j] if p < bits])
-            for j in range(bits)
-            if low >> j & 1
-        ]
-        for low in range(1 << bits)
+        [(1 << j, lengths[j], dp[j], reads[j]) for j in range(bits) if low >> j & 1] for low in range(1 << bits)
     ]
     for start in range(0, 1 << n, 1 << bits):
         for low, steps in enumerate(members):
             mask = start | low
             row_best = row_min[mask]
-            for bit, length, column, high, preds in steps:
+            for bit, length, column, preds in steps:
                 rest = mask ^ bit
                 best = row_min[rest]
-                value = high[rest]
-                if value < best:
-                    best = value
                 for prev, gain in preds:
                     value = prev[rest] - gain
                     if value < best:

@@ -194,8 +194,8 @@ MUTANTS = [
     ),
     Mutant(
         SUBSET_DP,
-        "value = high[rest]",
-        "value = row_min[rest]",
+        "[(acc[j], 0)] * any(p >= bits for p, _ in gains[j])",
+        "[(acc[j], 0)] * 0",
         "scalar step that ignores its column's folded high-predecessor terms",
         DIGEST,
     ),
