@@ -238,7 +238,7 @@ def assert_tables_equal_the_plain_ones(inst):
 def test_row_minimum_recurrence_equals_the_plain_one():
     # binary mixed lengths: most ordered pairs overlap; the chains shape
     # (length 5, alphabet 4): most do not, so the row minimum decides often;
-    # the chains shape alone up to the bench's n = 13 less one
+    # from n = 11 the chains shape alone, which keeps the test short
     zero = positive = 0
     for n in range(6, 13):
         for params in (GeneratorParams(n, 3, 9, 2), GeneratorParams(n, 5, 5, 4))[n > 10 :]:
@@ -269,7 +269,8 @@ def high_neighbour_instance(body):
     """Eight strings of distinct letter runs of length `body`, joined by
     edge letters so that string 0 overlaps only strings 4-7: these end in
     its prefix "XY" (gain 1 or 2) and start with its last letter "V".
-    Strings 1-3 overlap one another and strings 4-7, never string 0."""
+    Strings 1-3 overlap one another, and string 3 overlaps strings 4-7;
+    none of them overlaps string 0."""
     runs = [letter * body for letter in "abcdefgh"]
     return make_instance(
         [
@@ -290,9 +291,10 @@ def high_neighbour_instance(body):
 @pytest.mark.parametrize("row_bits", [4, 5])
 def test_high_predecessors_alone_decide_a_scalar_column(monkeypatch, row_bits, body, typecode):
     # column 0 is filled entry by entry, and its only neighbours with a
-    # positive overlap, in either table, are strings 4-7: those terms reach
-    # each entry through the slices' fold alone, and on some entries they
-    # beat the row minimum
+    # positive overlap, in either table, are strings 4-7: with 4 row bits
+    # their terms reach each entry through the slices' fold alone, with 5
+    # string 4 is read entry by entry and 5-7 folded; on some entries those
+    # terms beat the row minimum
     monkeypatch.setattr(subset_dp, "_ROW_BITS", row_bits)
     inst = high_neighbour_instance(body)
     overlap = direct_overlaps(inst)
@@ -300,7 +302,7 @@ def test_high_predecessors_alone_decide_a_scalar_column(monkeypatch, row_bits, b
         assert (overlap[p][0] > 0) == (overlap[0][p] > 0) == (p >= 4)
     table = assert_tables_equal_the_plain_ones(inst)
     assert table.row_min.typecode == typecode
-    for dp, gain in ((table.dp_right, overlap), (table.dp_left, list(zip(*overlap)))):
+    for dp in (table.dp_right, table.dp_left):
         decided = [
             mask
             for mask in range(3, 256, 2)
