@@ -185,8 +185,14 @@ def _chain_dp(
     # dp[p][row] - overlap(p, j), folded in by the slices
     acc = [array(code, [never]) * (1 << n) for _ in range(bits)]
     acc_bytes = [memoryview(column).cast("B") for column in acc]
-    # slice column p -> [(acc[j] bytes, overlap(p, j))] for its successors j < bits
-    folds = [[(acc_bytes[j], gain) for j, gain in enumerate(overlaps[p][:bits]) if j != p and gain > 0] for p in range(n)]
+    # slice column p -> [(bytes, gain)]: the arrays its entries less gain are
+    # folded into, row_min with 0 while it is being filled and acc[j] with
+    # overlap(p, j) for each of its successors j < bits
+    folds = [
+        [(mins_bytes, 0)] * (not row_min_filled)
+        + [(acc_bytes[j], gain) for j, gain in enumerate(overlaps[p][:bits]) if j != p and gain > 0]
+        for p in range(n)
+    ]
     # column j < bits -> what its entries read: acc[j] with gain 0 in place
     # of every predecessor p >= bits, then (column p, overlap(p, j)) for p < bits
     reads = [
@@ -230,17 +236,12 @@ def _chain_dp(
             best ^= (best ^ term) & take * field
         best += lengths[j] * ones
         bytes_of[j][mid:hi] = best.to_bytes(size, order)
-        if not row_min_filled:
-            have = from_bytes(mins_bytes[mid:hi], order)
-            take = (((have | guard) - best) & guard) >> top
-            have ^= (have ^ best) & take * field
-            mins_bytes[mid:hi] = have.to_bytes(size, order)
-        for high, gain in folds[j]:
+        for into, gain in folds[j]:
             term = best - gain * ones
-            have = from_bytes(high[mid:hi], order)
+            have = from_bytes(into[mid:hi], order)
             take = (((have | guard) - term) & guard) >> top
             have ^= (have ^ term) & take * field
-            high[mid:hi] = have.to_bytes(size, order)
+            into[mid:hi] = have.to_bytes(size, order)
     return dp
 
 

@@ -189,7 +189,7 @@ MUTANTS = [
         SUBSET_DP,
         "term = best - gain * ones",
         "term = best - (gain + 1) * ones",
-        "high-predecessor fold with its gain one too large",
+        "slice fold into the row minima and accumulators with its gain one too large",
         DIGEST,
     ),
     Mutant(
