@@ -146,10 +146,13 @@ def run(config: argparse.Namespace, out=None, err=None) -> int:
     counter_report = None
     if config.counters:
         counter_report = solution.counters.report(instance.n, instance.c)
-        over = solution.counters.violations(instance.n, instance.c)
+        over = [(name, cell) for name, cell in counter_report.items() if cell["count"] > cell["bound"]]
+        for name, cell in over:
+            print(
+                f"error: counter bound exceeded: {name}: count {cell['count']} exceeds bound {cell['bound']}",
+                file=err,
+            )
         if over:
-            for line in over:
-                print(f"error: counter bound exceeded: {line}", file=err)
             return 1
 
     if config.oracle_check:

@@ -3,8 +3,8 @@
 Each counter records the exact number of innermost iterations a phase
 performed; the bounds are the worst-case loop sizes for an instance with n
 strings whose longest string has length c.  A counter exceeding its bound
-means a loop runs outside its intended shape, so `violations` is checked by
-the CLI whenever counters are requested.
+means a loop runs outside its intended shape, so the CLI checks every count
+of `report` against its bound whenever counters are requested.
 """
 
 from __future__ import annotations
@@ -97,11 +97,3 @@ class Counters:
     def report(self, n: int, c: int) -> dict[str, dict[str, int]]:
         bounds = self.bounds(n, c)
         return {name: {"count": count, "bound": bounds[name]} for name, count in asdict(self).items()}
-
-    def violations(self, n: int, c: int) -> list[str]:
-        bounds = self.bounds(n, c)
-        return [
-            f"{name}: count {count} exceeds bound {bounds[name]}"
-            for name, count in asdict(self).items()
-            if count > bounds[name]
-        ]

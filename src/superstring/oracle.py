@@ -4,12 +4,14 @@ These exist to check the real solver, so they favour being obviously correct
 over being fast and deliberately share no code with the table builders
 (``Instance`` is the only common type).
 
-``brute_force_min_length`` tries every window length in ascending order; for
-each length and each choice of mistake string it enumerates a start offset
-for every string.  A placement is feasible when the exact strings agree
-pairwise on every shared position and the mistake string conflicts with the
-exact consensus in at most k positions (positions covered only by the
-mistake string are free, as are positions covered by nothing).
+``brute_force_min_length`` tries every window length in ascending order, up
+to the total length of the strings, where laying them side by side always
+fits; for each length and each choice of mistake string it enumerates a
+start offset for every string.  A placement is feasible when the exact
+strings agree pairwise on every shared position and the mistake string
+conflicts with the exact consensus in at most k positions (positions
+covered only by the mistake string are free, as are positions covered by
+nothing).
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ class OracleLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleLimits:
-    """Hard caps beyond which the enumeration refuses to run."""
+    """Hard caps beyond which the enumeration refuses to run: the number of
+    strings and their total length, which also bounds the lengths tried."""
 
     max_n: int = 4
     max_total_len: int = 26
-    max_len_cap: int = 24
 
 
 class OracleResult(NamedTuple):
@@ -60,7 +62,6 @@ def brute_force_min_length(
     strings = instance.strings
     n = instance.n
     k = instance.k
-    cap = min(instance.total_len, limits.max_len_cap)
 
     # conflicting relative offsets for every ordered pair, precomputed once;
     # deltas outside the overlapping range can never conflict
@@ -75,7 +76,8 @@ def brute_force_min_length(
                 if not _agrees(strings[a], strings[b], d)
             }
 
-    for length in range(instance.c, cap + 1):
+    # laid side by side the strings fit in total_len, so some length is found
+    for length in range(instance.c, instance.total_len + 1):
         for mistake in range(n):
             exact = [i for i in range(n) if i != mistake]
             found = _search(strings, exact, mistake, k, length, forbidden, [])
@@ -83,9 +85,6 @@ def brute_force_min_length(
                 placed, m_at = found
                 witness = _render(strings, placed, mistake, m_at, length)
                 return OracleResult(length, witness, mistake)
-    raise OracleLimitError(
-        f"oracle limits: no feasible length within cap {cap}"
-    )
 
 
 def _search(strings, exact, mistake, k, length, forbidden, placed):

@@ -48,14 +48,16 @@ no merge core up, so none of its cores is built.
 Every shape, anchored or absorbed, is one (kind, l, r) triple, -1 marking
 an absent anchor, searched by a single loop over interior sets: an anchored
 shape has only the empty one, an absorbed shape every non-empty one that
-fits inside the mistake string with nothing fixed.  One routine (``_glue``)
-prices the strings outside the window for every shape: a left chain ending
-in l if l exists, a right chain starting in r if r exists, the cheapest
-split of the outside strings between both when both do, and nothing when
-neither does.  Composition and reconstruction read the window the same
-way: the merge core for the empty interior set, the placement engine
-otherwise.  Reconstruction has one path: each chain is laid out iff its
-anchor exists.
+fits inside the mistake string with nothing fixed.  The enclosed shape, with
+no anchor, has no chain to hold a string outside its window, so its only
+interior set is every other string, and only if that set fits.  One routine
+(``_glue``) prices the strings outside the window for every shape: a left
+chain ending in l if l exists, a right chain starting in r if r exists, the
+cheapest split of the outside strings between both when both do, and
+nothing when neither does.  Composition and reconstruction read the window
+the same way: the merge core for the empty interior set, the placement
+engine otherwise.  Reconstruction has one path: each chain is laid out iff
+its anchor exists.
 
 Window first, glue second.  With both anchors the glue is a scan over every
 split of the outside strings O (the Held-Karp subset tables read back per
@@ -455,17 +457,18 @@ class _Placer:
 
 
 def _glue(subsets, lengths, l, r, outside, counters):
-    """(length the chains outside the window add, the left chain's share of outside), or None.
+    """(length the chains outside the window add, the left chain's share of outside).
 
     A chain ends in the left anchor l and another starts in the right anchor
     r, each iff its anchor exists (-1 when absent), together holding exactly
-    the strings of `outside`; with neither anchor only an empty `outside`
-    can be placed.  With both, every split of `outside` is scanned, submasks
-    in descending order, and the cheapest wins, the smallest left share
-    among equal lengths.
+    the strings of `outside`; with neither anchor there is no chain, and
+    `outside` is empty (the enclosed shape absorbs every other string).
+    With both, every split of `outside` is scanned, submasks in descending
+    order, and the cheapest wins, the smallest left share among equal
+    lengths.
     """
     if l < 0 and r < 0:
-        return None if outside else (0, 0)
+        return 0, 0
     if r < 0:
         return subsets.dp_right[l][outside | 1 << l] - lengths[l], outside
     if l < 0:
@@ -520,14 +523,14 @@ def _candidates_for_m(instance, tables, m, best, counters):
     `shortest` is the merge core cores[l, m, r] of the shape's anchors and
     m (|m| with no anchors), the shortest window that holds them at all,
     and `cutoff` the least length that cannot win, best[0] + (kind <
-    best[1]).  A set with no glue, or whose glue (or glue bound) `floor` has
-    floor + shortest >= cutoff, asks for no window.  An anchored shape's one
-    set takes the same test, which for it is the window test, since its
-    window is the merge core.  With both anchors `shortest` starts as a
-    lower bound on the core (``CoreTable.triple_floor``), and the core is
-    read only for a set whose first glue bound plus `shortest` is below the
-    cutoff; the first such read builds the cores of its (m, r) if none is
-    built yet, and replaces the bound.  A set the bound turns away the core
+    best[1]).  A set whose glue (or glue bound) `floor` has floor + shortest
+    >= cutoff asks for no window.  An anchored shape's one set takes the
+    same test, which for it is the window test, since its window is the
+    merge core.  With both anchors `shortest` starts as a lower bound on
+    the core (``CoreTable.triple_floor``), and the core is read only for a
+    set whose first glue bound plus `shortest` is below the cutoff; the
+    first such read builds the cores of its (m, r) if none is built yet,
+    and replaces the bound.  A set the bound turns away the core
     would have turned away too.
     """
     n = instance.n
@@ -571,7 +574,8 @@ def _candidates_for_m(instance, tables, m, best, counters):
             counters.composition += 1
             interiors = (0,)
         else:
-            interiors = [s for s in family if not s & anchors]
+            # with no anchor, no chain holds a string outside the window
+            interiors = [s for s in family if not s & anchors and (anchors or s == around)]
             if not interiors:
                 continue
         # with both anchors, a bound on the triple core until a set needs the core itself
@@ -593,9 +597,9 @@ def _candidates_for_m(instance, tables, m, best, counters):
                     floor = _split_floor(row_min, lengths, max_in, max_out, l, r, outside, floor)
             else:
                 glue = _glue(subsets, lengths, l, r, outside, counters)
-                floor = None if glue is None else glue[0]
+                floor = glue[0]
             # no window is shorter than the merge core of the anchors and m
-            if floor is not None and floor + shortest < cutoff:
+            if floor + shortest < cutoff:
                 # an anchored shape's window is the merge core, which the test
                 # above has just read: `shortest`.  An absorbed shape's is the
                 # shortest below the cutoff whatever the cutoff, so a bound in
@@ -616,10 +620,9 @@ def _solve_tables(instance: Instance, counters: Counters) -> _Tables:
     cores = CoreTable(instance, mismatch, counters)
     overlap = build_overlap_table(instance, mismatch)
     subsets = build_subset_table(instance, overlap, counters)
-    # the diagonal holds a string's own length, not an overlap
-    n = instance.n
-    max_in = [max((overlap[w][v] for w in range(n) if w != v), default=0) for v in range(n)]
-    max_out = [max((overlap[v][w] for w in range(n) if w != v), default=0) for v in range(n)]
+    # the diagonal is 0, no string being glued to itself
+    max_in = [max(column) for column in zip(*overlap)]
+    max_out = [max(row) for row in overlap]
     return _Tables(mismatch, cores, overlap, subsets, max_in, max_out)
 
 
@@ -646,17 +649,9 @@ def solve(instance: Instance, *, reconstruct: bool = False) -> Solution:
                 continue
             best = _candidates_for_m(instance, tables, m, best, counters)
 
-    m = best[2]
-    solution = Solution(length=best[0], mistake_index=m, counters=counters)
+    solution = Solution(length=best[0], mistake_index=best[2], counters=counters)
     if reconstruct:
-        witness, offsets = _assemble(instance, tables, best)
-        solution.witness = witness
-        solution.offsets = offsets
-        mistake = instance.strings[m]
-        at = offsets[m]
-        solution.mismatch_positions = [
-            at + t for t in range(len(mistake)) if witness[at + t] != mistake[t]
-        ]
+        solution.witness, solution.offsets, solution.mismatch_positions = _assemble(instance, tables, best)
         problems = verify_solution(instance, solution)
         if problems:
             raise ReconstructionError(problems)
@@ -695,8 +690,10 @@ def _chain(instance, tables, mask: int, end: int, rightmost: bool) -> list[tuple
     return placed
 
 
-def _assemble(instance, tables, best) -> tuple[str, list[int]]:
-    """Lay every string at its offset and render the witness characters."""
+def _assemble(instance, tables, best) -> tuple[str, list[int], list[int]]:
+    """(witness, offsets, mismatch positions): every string laid at its
+    offset, the witness characters rendered, and the witness positions where
+    an exact string's character differs from the mistake string's."""
     length, kind, m, l, r, interior_mask, sub = best
     n = instance.n
     strings = instance.strings
@@ -738,21 +735,24 @@ def _assemble(instance, tables, best) -> tuple[str, list[int]]:
 
     # every string but m is exact; positions seen only by m take its
     # characters, positions seen by nothing the smallest symbol of the
-    # instance's alphabet.  The baseline's chain is exact throughout, so
+    # instance's alphabet, and a position where an exact string differs
+    # from m is a mismatch.  The baseline's chain is exact throughout, so
     # string 0, its m, agrees with every string that covers it
     chars: list[str | None] = [None] * length
     for idx, at in placed:
         if idx != m:
             for t, ch in enumerate(strings[idx]):
                 chars[at + t] = ch
-    mistake = strings[m]
     at = offsets[m]
-    for t in range(len(mistake)):
+    positions = []
+    for t, ch in enumerate(strings[m]):
         if chars[at + t] is None:
-            chars[at + t] = mistake[t]
+            chars[at + t] = ch
+        elif chars[at + t] != ch:
+            positions.append(at + t)
     fill = min(min(s) for s in strings)
     witness = "".join(ch if ch is not None else fill for ch in chars)
-    return witness, offsets
+    return witness, offsets, positions
 
 
 def verify_solution(instance: Instance, solution: Solution) -> list[str]:

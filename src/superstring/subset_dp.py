@@ -6,8 +6,9 @@ not from the characters: w at a window's left edge and v at its right edge
 overlap by t in a window of |w|+|v|-t, so the largest t is |w|+|v| minus
 the shortest of ``MismatchTable.clean_lengths[w, v]``, and 0 when there is
 none.  Because no input may contain another, t is strictly below both
-lengths for w != v; the diagonal is set to the string's own length by
-convention and never read by the tables below.
+lengths for w != v.  The diagonal is 0: no string is glued to itself, so
+a reader may take the maximum of a row or column, or the positive entries
+of one, without skipping it.
 
 ``dp_right[j][mask]`` is the length of the shortest string containing every
 input named by ``mask`` exactly, arranged as a chain glued at maximal clean
@@ -111,7 +112,7 @@ class SubsetTable:
 
 
 def build_overlap_table(instance: Instance, mismatch: MismatchTable) -> list[list[int]]:
-    """Maximal clean overlap for every ordered pair, |s_w| on the diagonal.
+    """Maximal clean overlap for every ordered pair, 0 on the diagonal.
 
     A clean window of max(|w|, |v|) would put one string inside the other,
     which a valid instance rules out, so the shortest clean length is longer
@@ -121,7 +122,7 @@ def build_overlap_table(instance: Instance, mismatch: MismatchTable) -> list[lis
     # with no clean length the shortest window is the disjoint one, overlap 0
     return [
         [
-            len_w if w == v else len_w + len_v - (mismatch.clean_lengths[w, v] or (len_w + len_v,))[0]
+            0 if w == v else len_w + len_v - (mismatch.clean_lengths[w, v] or (len_w + len_v,))[0]
             for v, len_v in enumerate(lengths)
         ]
         for w, len_w in enumerate(lengths)
@@ -156,7 +157,8 @@ def _chain_dp(
     sentinel entries outside rest never win; the others a slice at a time,
     each slice also folding its terms for the columns j < _ROW_BITS it
     overlaps into their accumulators (the module docstring says why both
-    are exact).
+    are exact).  The diagonal of ``overlaps`` is 0, so no column is its own
+    predecessor.
     ``row_min`` has 2^n entries, the sentinel but the empty row's 0, and
     receives each row's minimum as the row is filled; the empty row stays 0,
     so a singleton gets |s_j|.  As the minima are the same in both tables,
@@ -174,7 +176,7 @@ def _chain_dp(
     from_bytes = int.from_bytes
     code = row_min.typecode
     dp = [array(code, [never]) * (1 << n) for _ in range(n)]
-    gains = [[(p, overlaps[p][j]) for p in range(n) if p != j and overlaps[p][j] > 0] for j in range(n)]
+    gains = [[(p, overlaps[p][j]) for p in range(n) if overlaps[p][j] > 0] for j in range(n)]
     bytes_of = [memoryview(column).cast("B") for column in dp]
     mins_bytes = memoryview(row_min).cast("B")
     # column j -> 2^j fields of 1, and of the guard bit alone
@@ -190,7 +192,7 @@ def _chain_dp(
     # overlap(p, j) for each of its successors j < bits
     folds = [
         [(mins_bytes, 0)] * (not row_min_filled)
-        + [(acc_bytes[j], gain) for j, gain in enumerate(overlaps[p][:bits]) if j != p and gain > 0]
+        + [(acc_bytes[j], gain) for j, gain in enumerate(overlaps[p][:bits]) if gain > 0]
         for p in range(n)
     ]
     # column j < bits -> what its entries read: acc[j] with gain 0 in place

@@ -88,9 +88,16 @@ MUTANTS = [
     ),
     Mutant(
         SOLVER,
-        "interiors = [s for s in family if not s & anchors]",
-        "interiors = [s for s in family[:3] if not s & anchors]",
+        "interiors = [s for s in family if not s & anchors and",
+        "interiors = [s for s in family[:3] if not s & anchors and",
         "absorbed sweep reads only part of the fitting-set family",
+        DIGEST,
+    ),
+    Mutant(
+        SOLVER,
+        "if not s & anchors and (anchors or s == around)]",
+        "if not s & anchors]",
+        "enclosed shape glues strings it does not place",
         DIGEST,
     ),
     Mutant(
@@ -197,6 +204,13 @@ MUTANTS = [
         "[(acc[j], 0)] * any(p >= bits for p, _ in gains[j])",
         "[(acc[j], 0)] * 0",
         "scalar step that ignores its column's folded high-predecessor terms",
+        DIGEST,
+    ),
+    Mutant(
+        SOLVER,
+        "positions.append(at + t)",
+        "pass",
+        "witness mismatch positions not recorded",
         DIGEST,
     ),
 ]

@@ -17,10 +17,10 @@ from superstring import OracleLimits, brute_force_min_length, make_instance, sol
 SWEEP_SEED = 1734000
 SWEEP_COUNT = 400
 DRAW_LIMIT = 500
-LIMITS = OracleLimits(max_n=6, max_total_len=40, max_len_cap=40)
+LIMITS = OracleLimits(max_n=6, max_total_len=40)
 WIDE_SEED = 1735000
 WIDE_COUNT = 120
-WIDE_LIMITS = OracleLimits(max_n=8, max_total_len=48, max_len_cap=48)
+WIDE_LIMITS = OracleLimits(max_n=8, max_total_len=48)
 
 
 def absorb_instance(seed: int, sizes=(5, 6)):

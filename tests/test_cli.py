@@ -250,8 +250,8 @@ def test_bad_witness_from_the_solver_exit_code(monkeypatch, flag):
     assemble = solver_module._assemble
 
     def corrupted(*args):
-        witness, offsets = assemble(*args)
-        return witness[::-1], offsets
+        witness, offsets, positions = assemble(*args)
+        return witness[::-1], offsets, positions
 
     monkeypatch.setattr(solver_module, "_assemble", corrupted)
     code, out, err = run_capture(["--strings", "abc,cde", "--k", "0", flag, "--json"])

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from superstring import (
@@ -7,6 +9,7 @@ from superstring import (
     brute_force_scs,
     make_instance,
 )
+from superstring.cli import main
 from conftest import random_valid_instance
 
 
@@ -55,6 +58,17 @@ def test_total_length_limit():
     long_strings = make_instance(["a" * 14, "b" * 14], 0)
     with pytest.raises(OracleLimitError, match="oracle limits"):
         brute_force_min_length(long_strings)
+
+
+def test_default_limits_answer_every_instance_they_admit(capsys):
+    # total length 26, the default cap: with no overlap to gain, the answer
+    # at k = 0 is the strings side by side, the longest length the oracle
+    # tries, and at k = 1 one mismatch saves a single character
+    for k, length in ((0, 26), (1, 25)):
+        result = brute_force_min_length(make_instance(["a" * 13, "b" * 13], k))
+        assert (result.length, len(result.witness)) == (length, length)
+        assert main(["--strings", "a" * 13 + "," + "b" * 13, "--k", str(k), "--oracle-check", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == length
 
 
 def test_scs_examples():

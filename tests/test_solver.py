@@ -107,7 +107,7 @@ def test_interior_absorption():
     solution = solve(inst, reconstruct=True)
     assert solution.length == 6
     assert brute_force_min_length(
-        inst, OracleLimits(max_n=6, max_total_len=30, max_len_cap=30)
+        inst, OracleLimits(max_n=6, max_total_len=30)
     ).length == 6
     assert verify_solution(inst, solution) == []
 
@@ -361,9 +361,9 @@ def _splits(outside, n):
 
 
 def _plain_glue(subsets, lengths, l, r, outside, n):
-    """_glue's contract computed straight from the tables, None when unplaceable."""
+    """_glue's contract computed straight from the tables."""
     if l < 0 and r < 0:
-        return None if outside else (0, 0)
+        return 0, 0
     if r < 0:
         return subsets.dp_right[l][outside | 1 << l] - lengths[l], outside
     if l < 0:
@@ -407,7 +407,8 @@ def test_split_glue_lower_bound_holds():
                 if l == r >= 0:
                     continue
                 anchors = _bit(l) | _bit(r)
-                for outside in _submasks(((1 << n) - 1) ^ anchors):
+                # with no anchor there is no chain, so nothing lies outside
+                for outside in _submasks(((1 << n) - 1) ^ anchors) if anchors else (0,):
                     counters = Counters()
                     glue = _glue(subsets, lengths, l, r, outside, counters)
                     assert glue == _plain_glue(subsets, lengths, l, r, outside, n), (inst.strings, l, r, outside)

@@ -29,7 +29,7 @@ def direct_overlaps(inst) -> list[list[int]]:
     reads from the mismatch counts."""
     strings = inst.strings
     return [
-        [len(w) if i == j else _suffix_prefix(w, v) for j, v in enumerate(strings)]
+        [0 if i == j else _suffix_prefix(w, v) for j, v in enumerate(strings)]
         for i, w in enumerate(strings)
     ]
 
@@ -88,8 +88,8 @@ def test_overlap_examples():
     assert table == direct_overlaps(inst)
     assert table[0][1] == 1
     assert table[0][2] == 0
-    assert table[0][0] == 2  # diagonal convention, never read by the DP
-    assert overlaps(make_instance(["abab", "baba"], 0)) == [[4, 3], [3, 4]]
+    assert table[0][0] == 0  # no string is glued to itself
+    assert overlaps(make_instance(["abab", "baba"], 0)) == [[0, 3], [3, 0]]
 
 
 @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=6), min_size=2, max_size=4))
