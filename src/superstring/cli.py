@@ -11,8 +11,9 @@ reads its options from it by their argparse names.
 
 Exit codes: 0 success, 1 internal check failed (a reconstructed witness
 failed verification, or a `--counters` counter exceeded its bound), 2
-invalid input (containment violation, an empty string or no strings, bad
-parameters), 3 oracle limits exceeded, 4 solver/oracle disagreement.
+invalid input (containment violation, an empty string, no strings or more
+than 20, bad parameters), 3 oracle limits exceeded, 4 solver/oracle
+disagreement.
 """
 
 from __future__ import annotations
@@ -112,10 +113,7 @@ def _load_instance(config: argparse.Namespace) -> Instance:
         return parse_instance(handle.read(), config.k)
 
 
-def run(config: argparse.Namespace, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-
+def run(config: argparse.Namespace, out, err) -> int:
     try:
         instance = _load_instance(config)
     except (InstanceError, OSError, UnicodeDecodeError) as exc:
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    return run(config, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Problem instances: parsing, validation and serialization.
 
-An instance is a tuple of non-empty strings together with a non-negative
-integer mismatch budget ``k``; :class:`Instance` refuses any other shape.
+An instance is a tuple of one to ``MAX_STRINGS`` (20) non-empty strings
+together with a non-negative integer mismatch budget ``k``; :class:`Instance`
+refuses any other shape.
 The solver searches for the shortest string that contains every input
 exactly, except for one designated input that may disagree with it in at
 most ``k`` positions.  For the problem to be well posed no input string may
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 # The subset tables downstream grow as n * 2^n entries, so refuse instances
 # that would silently allocate gigabytes.
-DEFAULT_MAX_STRINGS = 20
+MAX_STRINGS = 20
 
 
 class InstanceError(ValueError):
@@ -38,9 +39,11 @@ class InvalidInstanceError(InstanceError):
 class Instance:
     """An immutable problem instance, safe to share.
 
-    A tuple of at least one string, each a non-empty ``str``, and a
-    non-negative ``int`` budget that is not a ``bool``, or InstanceError.
-    Containment between the strings is :func:`validate`'s to report.
+    A tuple of one to ``MAX_STRINGS`` strings, each a non-empty ``str``,
+    and a non-negative ``int`` budget that is not a ``bool``, or
+    InstanceError.  The cap on the count is checked last, so every other
+    message comes first.  Containment between the strings is
+    :func:`validate`'s to report.
     """
 
     strings: tuple[str, ...]
@@ -56,6 +59,10 @@ class Instance:
         for i, s in enumerate(self.strings):
             if not isinstance(s, str) or not s:
                 raise InstanceError(f"string {i} is not a non-empty str")
+        if len(self.strings) > MAX_STRINGS:
+            raise InstanceError(
+                f"too many strings: {len(self.strings)} > {MAX_STRINGS} (the subset tables grow as n * 2^n)"
+            )
 
     @property
     def n(self) -> int:
@@ -73,23 +80,18 @@ class Instance:
         return sum(len(s) for s in self.strings)
 
 
-def make_instance(strings, k: int, *, max_strings: int = DEFAULT_MAX_STRINGS) -> Instance:
-    """Build an Instance from an iterable of strings, checking the cap on their number.
+def make_instance(strings, k: int) -> Instance:
+    """Build an Instance from an iterable of strings.
 
     The iterable becomes the tuple :class:`Instance` requires, and the
-    Instance checks its own shape.  Substring-freeness is deliberately not
-    checked here; use :func:`validate`.
+    Instance checks its own shape, the cap on the number of strings
+    included.  Substring-freeness is deliberately not checked here; use
+    :func:`validate`.
     """
-    instance = Instance(strings=tuple(strings), k=k)
-    if instance.n > max_strings:
-        raise InstanceError(
-            f"too many strings: {instance.n} > {max_strings} "
-            f"(the subset tables grow as n * 2^n; raise max_strings to override)"
-        )
-    return instance
+    return Instance(strings=tuple(strings), k=k)
 
 
-def parse_instance(text: str, k: int, *, max_strings: int = DEFAULT_MAX_STRINGS) -> Instance:
+def parse_instance(text: str, k: int) -> Instance:
     """Parse the line-oriented text format into an Instance.
 
     One string per non-empty, non-comment line; ``#``-prefixed lines are
@@ -100,7 +102,7 @@ def parse_instance(text: str, k: int, *, max_strings: int = DEFAULT_MAX_STRINGS)
         if not line or line.startswith("#"):
             continue
         strings.append(line)
-    return make_instance(strings, k, max_strings=max_strings)
+    return make_instance(strings, k)
 
 
 def serialize_instance(instance: Instance) -> str:

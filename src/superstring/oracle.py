@@ -50,10 +50,9 @@ def _agrees(a: str, b: str, delta: int) -> bool:
 
 
 def brute_force_min_length(
-    instance: Instance, limits: OracleLimits | None = None
+    instance: Instance, limits: OracleLimits = OracleLimits()
 ) -> OracleResult:
     """Exhaustive minimal length (with one witness) for the instance."""
-    limits = limits or OracleLimits()
     if instance.n > limits.max_n or instance.total_len > limits.max_total_len:
         raise OracleLimitError(
             f"oracle limits: n={instance.n} total={instance.total_len} "

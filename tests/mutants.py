@@ -56,6 +56,7 @@ SOLVER = "src/superstring/solver.py"
 CORES = "src/superstring/cores.py"
 MISMATCHES = "src/superstring/mismatches.py"
 SUBSET_DP = "src/superstring/subset_dp.py"
+INSTANCE = "src/superstring/instance.py"
 
 MUTANTS = [
     Mutant(
@@ -212,6 +213,14 @@ MUTANTS = [
         "pass",
         "witness mismatch positions not recorded",
         DIGEST,
+    ),
+    Mutant(
+        INSTANCE,
+        "> MAX_STRINGS:",
+        "> MAX_STRINGS + 1:",
+        "the instance admits one string past the cap",
+        # the digest holds no instance of 21 strings
+        "tests/test_instance.py::test_instance_refuses_no_strings_and_a_bad_budget[too-many-strings]",
     ),
 ]
 

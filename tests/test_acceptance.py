@@ -15,15 +15,14 @@ import pytest
 from superstring import (
     brute_force_min_length,
     brute_force_scs,
-    build_mismatch_table,
-    build_overlap_table,
-    build_subset_table,
     make_instance,
     solve,
     verify_solution,
 )
 from superstring.cli import GeneratorParams, config_from_args, generate_instance, run
 from superstring.counters import Counters
+from superstring.mismatches import build_mismatch_table
+from superstring.subset_dp import build_overlap_table, build_subset_table
 from conftest import all_binary_strings, random_valid_instance, substring_free
 
 RANDOM_SUITE_SEED = 1729000

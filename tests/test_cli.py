@@ -211,12 +211,16 @@ def test_gen_spec_it_cannot_honour_exit_code(spec, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--strings", "ab,,cd", "--k", "1"], ["--gen", "n=0,len=2..3,alphabet=2", "--k", "1"]],
-    ids=["empty-string", "no-strings"],
+    [
+        ["--strings", "ab,,cd", "--k", "1"],
+        ["--gen", "n=0,len=2..3,alphabet=2", "--k", "1"],
+        ["--gen", "n=21,len=4..10,alphabet=4", "--k", "1"],
+    ],
+    ids=["empty-string", "no-strings", "too-many-strings"],
 )
 def test_malformed_strings_exit_code(argv, capsys):
-    # the Instance refuses an empty string and an empty string list, and the
-    # CLI reports its InstanceError as one error line
+    # the Instance refuses an empty string, an empty string list and more
+    # than 20 strings, and the CLI reports its InstanceError as one error line
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

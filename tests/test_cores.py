@@ -6,9 +6,11 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from superstring import Counters, make_instance, build_mismatch_table, build_overlap_table
+from superstring import Counters, make_instance
 from superstring.cli import GeneratorParams, generate_instance
 from superstring.cores import CoreTable, build_pair_cores, build_triple_cores, overlaid_window
+from superstring.mismatches import build_mismatch_table
+from superstring.subset_dp import build_overlap_table
 from conftest import naive_mismatch_positions, random_valid_instance, window_min_length, window_placement
 
 

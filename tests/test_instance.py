@@ -48,11 +48,13 @@ def test_parse_negative_budget():
         (("ab", 3), 1, "string 1 is not a non-empty str"),
         (("", "ab"), 0, "string 0 is not a non-empty str"),
         (("ab", "cd"), True, "invalid budget"),
+        pytest.param(tuple(f"a{i:021b}" for i in range(21)), 0, "too many strings: 21 > 20", id="too-many-strings"),
     ],
 )
 def test_instance_refuses_no_strings_and_a_bad_budget(strings, k, message):
     # built directly, not through make_instance, so solve never sees such an
-    # instance (it would index past an empty list, or fail inside validate)
+    # instance (it would index past an empty list, fail inside validate, or
+    # allocate n * 2^n entries per subset table)
     with pytest.raises(InstanceError, match=message):
         Instance(strings=strings, k=k)
     with pytest.raises(InstanceError, match=message):
@@ -71,12 +73,10 @@ def test_parse_preserves_order_and_crlf():
 
 
 def test_too_many_strings_guard():
-    lines = "\n".join(f"a{i:021b}" for i in range(21))
-    with pytest.raises(InstanceError, match="too many strings"):
-        parse_instance(lines, 0)
-    # explicit override allows it
-    inst = parse_instance(lines, 0, max_strings=25)
-    assert inst.n == 21
+    lines = [f"a{i:021b}" for i in range(21)]
+    with pytest.raises(InstanceError, match="too many strings: 21 > 20"):
+        parse_instance("\n".join(lines), 0)
+    assert parse_instance("\n".join(lines[:20]), 0).n == 20
 
 
 def test_validate_substring_pair():

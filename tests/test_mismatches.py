@@ -5,7 +5,8 @@ from operator import eq, ne
 import pytest
 from hypothesis import given, strategies as st
 
-from superstring import Counters, make_instance, build_mismatch_table
+from superstring import Counters, make_instance
+from superstring.mismatches import build_mismatch_table
 from conftest import naive_mismatch_positions, random_valid_instance
 
 

@@ -440,7 +440,8 @@ def test_split_glue_lower_bound_holds():
 def test_glue_and_window_never_shrink_as_sets_grow():
     # one more string outside never makes the glue shorter, nor the shortest
     # chain over a mask, and one more string inside never makes the first
-    # window shorter, for every anchor pair, absent anchors included; None
+    # window shorter, for every anchor pair, absent anchors included (with
+    # neither anchor nothing is outside, so that glue is asked only of 0); None
     # (nothing fits) counts as infinite.  No window is shorter than the merge
     # core of its anchors (|m| with none), under every cover a set fits in
     # the fail-first order iff it fits in index order, and a set that fits
@@ -473,7 +474,8 @@ def test_glue_and_window_never_shrink_as_sets_grow():
                     assert row_min[mask | 1 << e] >= row_min[mask], (inst.strings, mask, e)
                     row_pairs += 1
         anchor_pairs = [(l, r) for l in range(-1, n) for r in range(-1, n) if not l == r >= 0]
-        for l, r in anchor_pairs:
+        assert _glue(tables.subsets, lengths, -1, -1, 0, Counters()) == (0, 0)
+        for l, r in anchor_pairs[1:]:  # (-1, -1), the first, was checked above
             anchors = _bit(l) | _bit(r)
             free = ((1 << n) - 1) ^ anchors
             for outside in _submasks(free):

@@ -3,18 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superstring import (
-    Counters,
-    InstanceError,
-    brute_force_scs,
-    build_mismatch_table,
-    build_overlap_table,
-    build_subset_table,
-    make_instance,
-)
+from superstring import Counters, InstanceError, brute_force_scs, make_instance
 from superstring import subset_dp
 from superstring.cli import GeneratorParams, generate_instance
+from superstring.mismatches import build_mismatch_table
 from superstring.oracle import _suffix_prefix
+from superstring.subset_dp import build_overlap_table, build_subset_table
 from conftest import random_valid_instance, substring_free
 
 
